@@ -19,6 +19,7 @@ payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
 
@@ -52,8 +53,7 @@ class ScheduledSend:
         return -(-len(self.payload) // MAX_FRAGMENT_PAYLOAD)
 
 
-@dataclass(frozen=True)
-class AttackEmission:
+class AttackEmission(NamedTuple):
     """A single frame the adversary puts on the air."""
 
     time: float
@@ -131,16 +131,23 @@ def _warmup_emissions(spec: AttackSpec, rng, tags: _TagCounter) -> list[AttackEm
     return out
 
 
+_FORGED_BYTES = MAX_FRAGMENT_PAYLOAD + 4 + 8
+
+
 def _forged_frag1(spec: AttackSpec, rng, tags: _TagCounter, when: float) -> AttackEmission:
+    # One draw for payload, nonce and signature: randbytes(n) is
+    # getrandbits(8 * n) in little-endian order and every part is a whole
+    # number of 32-bit words, so this is the stream three randbytes calls give.
+    blob = rng.getrandbits(8 * _FORGED_BYTES).to_bytes(_FORGED_BYTES, "little")
     return AttackEmission(
         time=when,
         kind=FragmentKind.FRAG1,
         claimed_source=spec.attacker,
         datagram_size=spec.forged_size,
         tag=tags.take(),
-        payload=rng.randbytes(MAX_FRAGMENT_PAYLOAD),
-        nonce=rng.randbytes(4),
-        sig=rng.randbytes(8),
+        payload=blob[:MAX_FRAGMENT_PAYLOAD],
+        nonce=blob[MAX_FRAGMENT_PAYLOAD:-8],
+        sig=blob[-8:],
     )
 
 

@@ -86,7 +86,8 @@ class VanillaStack:
         self.buffer = ReassemblyBuffer(slots, timeout)
         self.evictions: list[ReassemblySession] = []
 
-    def filter_frame(self, frag: Fragment, now: float) -> bool:
+    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
+        """Radio-level filter on link source and dispatch kind: never drops."""
         return False
 
     def admit(self, frag: Fragment, now: float) -> AdmitResult:
@@ -222,7 +223,8 @@ class SecuPanLikeStack:
         self.ledger = ReplayLedger(replay_horizon, replay_capacity)
         self.evictions: list[ReassemblySession] = []
 
-    def filter_frame(self, frag: Fragment, now: float) -> bool:
+    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
+        """Radio-level filter on link source and dispatch kind: never drops."""
         return False
 
     def _verify(self, frag: Fragment) -> bool:

@@ -232,19 +232,20 @@ class PredictiveCsmStack:
         # sessions evicted outside tick() (blacklist purges), drained by the caller
         self.evictions: list[ReassemblySession] = []
 
-    def filter_frame(self, frag: Fragment, now: float) -> bool:
+    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
         """Radio-level filter: True when the source is blacklisted.
 
-        Filtered frames never reach the stack proper (no RX or CPU cost
-        for the receiver), but the contact still refreshes the block
-        and the source's timing track.
+        Decided from what the radio sees before reassembly, the link
+        source and the dispatch kind, so a caller can drop a frame here
+        without ever building its fragment.  Filtered frames never reach
+        the stack proper (no RX or CPU cost for the receiver), but the
+        contact still refreshes the block and the source's timing track.
         """
-        src = frag.source
-        if not self.engine.is_blocked(src, now):
+        if not self.engine.is_blocked(source, now):
             return False
-        self.engine.note_blocked_contact(src, now)
-        if frag.header.kind is FragmentKind.FRAG1:
-            self.tracker.touch(src, now)
+        self.engine.note_blocked_contact(source, now)
+        if kind is FragmentKind.FRAG1:
+            self.tracker.touch(source, now)
         return True
 
     def _purge_if_blocked(self, source: int, now: float) -> None:
@@ -253,7 +254,7 @@ class PredictiveCsmStack:
 
     def admit(self, frag: Fragment, now: float) -> AdmitResult:
         self.buffer.advance(now)
-        if self.filter_frame(frag, now):
+        if self.filter_frame(frag.source, frag.header.kind, now):
             return _dropped(DropReason.UNTRUSTED)
         if frag.header.kind is FragmentKind.FRAG1:
             return self._admit_frag1(frag, now)

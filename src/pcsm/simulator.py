@@ -8,6 +8,17 @@ the configured receiver stack.  Every received fragment ends the run
 with exactly one terminal disposition, which downstream metrics rely
 on for conservation checking.
 
+No event schedules another, so the whole run is known before it
+starts: the frames that survive the channel are stable-sorted by
+arrival time (legitimate fragments before adversary frames at equal
+times) and visited in one pass.  Housekeeping ticks fall on whole
+seconds, after any arrival at the same instant, and run only while the
+reassembly buffer holds an open session; on an empty buffer a tick
+changes nothing.  An adversary frame stays a bare schedule entry until
+it passes the radio prefilter, which sees only the link source and the
+dispatch kind; only then is it built into a fragment for the stack
+under test.
+
 Randomness is split into named streams keyed by the run seed alone, so
 a seed fully determines the traffic, the adversary schedule, and the
 channel, independently of which stack variant is under test.  That
@@ -17,9 +28,12 @@ meaningful.
 
 from __future__ import annotations
 
-import heapq
+import heapq  # unused here; bench/layers.py patches simulator.heapq when tracing
+import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .attacks import AttackEmission, ScheduledSend, build_attack
 from .baselines import (
@@ -128,14 +142,18 @@ class RunResult:
     trust_history: list | None = None
 
 
-@dataclass
-class _Frame:
+class _Frame(NamedTuple):
+    """One frame that survives the channel and reaches the root."""
+
     arrival: float
-    frag: Fragment
+    source: int
+    kind: FragmentKind
     origin: int
     bytes_on_air: int
-    lost: bool
     corrupt: bool
+    # a legitimate Fragment, or the AttackEmission an adversary frame is
+    # built from once it passes the prefilter
+    wire: Fragment | AttackEmission
 
 
 def _corrupt_payload(payload: bytes) -> bytes:
@@ -211,7 +229,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
     sent_fragments: dict[int, int] = {node: 0 for node in nodes if node != ROOT}
     original_payload: dict[tuple[int, int], bytes] = {}
 
-    frames: list[_Frame] = []
+    arrivals: list[_Frame] = []
 
     # legitimate traffic, signed per the stack's wire format
     for send in sends:
@@ -225,22 +243,20 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         for j, frag in enumerate(frags):
             frag.source = send.source
             emit = send.time + j * cfg.traffic.pacing
-            nbytes = header_length(frag.header.kind, with_ext) + len(frag.payload)
+            kind = frag.header.kind
+            nbytes = header_length(kind, with_ext) + len(frag.payload)
             ledgers[send.source].tx_s += airtime(nbytes)
             ledgers[send.source].cpu_ms += sign_cpu_ms
             sent_fragments[send.source] += 1
-            frames.append(
-                _Frame(
-                    arrival=emit + PROPAGATION_DELAY,
-                    frag=frag,
-                    origin=send.source,
-                    bytes_on_air=nbytes,
-                    lost=send.lost[j],
-                    corrupt=rng_corrupt.random() < cfg.channel.corruption_rate,
+            # drawn for lost fragments too, so the stream stays aligned
+            corrupt = rng_corrupt.random() < cfg.channel.corruption_rate
+            if not send.lost[j]:
+                arrivals.append(
+                    _Frame(emit + PROPAGATION_DELAY, send.source, kind, send.source,
+                           nbytes, corrupt, frag)
                 )
-            )
 
-    # adversary traffic, materialized from the stack-independent schedule
+    # adversary traffic, kept as schedule entries until the prefilter passes them
     attack_start = None
     if cfg.attack is not None:
         attack_start = cfg.attack.start
@@ -248,40 +264,26 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         rng_chan = random.Random(f"{seed}:attack-channel")
         emissions = build_attack(cfg.attack, sends, cfg.duration, rng_attack)
         for em in emissions:
-            frag = _materialize_emission(em, cfg, with_ext, is_pcsm)
-            nbytes = header_length(frag.header.kind, with_ext) + len(frag.payload)
+            nbytes = header_length(em.kind, with_ext) + len(em.payload)
             ledgers[attacker].tx_s += airtime(nbytes)
             sent_fragments[attacker] += 1
-            frames.append(
-                _Frame(
-                    arrival=em.time + PROPAGATION_DELAY,
-                    frag=frag,
-                    origin=attacker,
-                    bytes_on_air=nbytes,
-                    lost=rng_chan.random() < cfg.channel.loss_rate,
-                    corrupt=rng_chan.random() < cfg.channel.corruption_rate,
+            lost = rng_chan.random() < cfg.channel.loss_rate
+            corrupt = rng_chan.random() < cfg.channel.corruption_rate
+            if not lost:
+                arrivals.append(
+                    _Frame(em.time + PROPAGATION_DELAY, em.claimed_source, em.kind,
+                           attacker, nbytes, corrupt, em)
                 )
-            )
 
-    # event queue: surviving arrivals plus housekeeping ticks
-    events: list[tuple[float, int, str, object]] = []
-    seq = 0
-    for frame in frames:
-        if frame.lost:
-            continue
-        events.append((frame.arrival, seq, "arrive", frame))
-        seq += 1
-    t = TICK_INTERVAL
-    while t <= cfg.duration:
-        events.append((t, seq, "tick", None))
-        seq += 1
-        t += TICK_INTERVAL
-    heapq.heapify(events)
+    # stable, so equal arrival times keep legit-then-adversary emission order
+    arrivals.sort(key=itemgetter(0))
 
     records: list[FrameRecord] = []
     delivered: list[DeliveredRecord] = []
     identified_at: float | None = None
     root = ledgers[ROOT]
+    buffer = stack.buffer
+    next_tick = TICK_INTERVAL
 
     def _mark(sessions, disposition):
         for session in sessions:
@@ -294,27 +296,37 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
             if stack.engine.is_blocked(attacker, now):
                 identified_at = now
 
-    while events:
-        now, _, kind, payload = heapq.heappop(events)
-        if kind == "tick":
-            _mark(stack.tick(now), "timeout")
-            _check_identified(now)
-            continue
+    def _tick(now):
+        _mark(stack.tick(now), "timeout")
+        _check_identified(now)
 
-        frame = payload
-        frag = frame.frag
-        if frame.corrupt:
-            frag.payload = _corrupt_payload(frag.payload)
-        rec = FrameRecord(now, frag.source, frame.origin, frag.header.kind, "stored")
-        frag.record = rec
+    for frame in arrivals:
+        now = frame.arrival
+        # ticks strictly before this arrival; on an empty buffer a tick
+        # is a no-op, so skip to the first one not before it
+        while next_tick < now and next_tick <= cfg.duration:
+            if not buffer.sessions:
+                next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
+                break
+            _tick(next_tick)
+            next_tick += TICK_INTERVAL
+
+        rec = FrameRecord(now, frame.source, frame.origin, frame.kind, "stored")
         records.append(rec)
 
-        if stack.filter_frame(frag, now):
+        if stack.filter_frame(frame.source, frame.kind, now):
             # address-filtered in the radio: no RX cost, no CPU
             rec.disposition = "untrusted"
             rec.prefiltered = True
             _check_identified(now)
             continue
+
+        frag = frame.wire
+        if isinstance(frag, AttackEmission):
+            frag = _materialize_emission(frag, cfg, with_ext, is_pcsm)
+        if frame.corrupt:
+            frag.payload = _corrupt_payload(frag.payload)
+        frag.record = rec
 
         root.rx_s += airtime(frame.bytes_on_air)
         result = stack.admit(frag, now)
@@ -333,6 +345,10 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         _mark(stack.drain_evictions(), "timeout")
         if frame.origin == attacker:
             _check_identified(now)
+
+    while next_tick <= cfg.duration and buffer.sessions:
+        _tick(next_tick)
+        next_tick += TICK_INTERVAL
 
     _mark(stack.flush(cfg.duration), "buffered")
 

@@ -46,7 +46,6 @@ class TrustState:
     ewma_rate: float
     sequence_violations: int = 0
     blacklisted_until: float | None = None
-    last_outcome: int = 1
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,6 @@ class TrustEngine:
             st.score = p.threshold
             st.blacklisted_until = None
         st.score = update_score(st.score, p.forgetting_factor, outcome)
-        st.last_outcome = outcome
         if st.score < p.threshold:
             proposed = now + p.block_duration
             if st.blacklisted_until is None:

@@ -14,8 +14,10 @@ from pcsm.attacks import (
     build_early_frag1,
     build_header_replay,
     build_late_phase,
+    _forged_frag1,
+    _TagCounter,
 )
-from pcsm.frag_codec import FragmentKind
+from pcsm.frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
 
 
 def _send(time, source, tag, payload=None, lost=()):
@@ -160,3 +162,21 @@ def test_dispatch_rejects_unknown_kind_and_trims_to_duration():
         build_attack(AttackSpec("phantom"), [], 100.0, random.Random(1))
     ems = build_attack(AttackSpec("burst_injection"), [], 905.0, random.Random(1))
     assert all(e.time < 905.0 for e in ems)
+
+
+def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
+    spec = AttackSpec("burst_injection")
+    rng, twin = random.Random(11), random.Random(11)
+    tags = _TagCounter()
+    for k in range(50):
+        em = _forged_frag1(spec, rng, tags, float(k))
+        assert em.payload == twin.randbytes(MAX_FRAGMENT_PAYLOAD)
+        assert em.nonce == twin.randbytes(4)
+        assert em.sig == twin.randbytes(8)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_emissions_are_immutable():
+    em = _forged_frag1(AttackSpec("burst_injection"), random.Random(1), _TagCounter(), 0.0)
+    with pytest.raises(AttributeError):
+        em.time = 1.0

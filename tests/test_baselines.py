@@ -84,7 +84,7 @@ def test_vanilla_duplicate_open_frag1_is_structural_drop():
 def test_vanilla_never_prefilters():
     stack = VanillaStack()
     frag = _plain_train(bytes(64), 1, source=9)[0]
-    assert stack.filter_frame(frag, 0.0) is False
+    assert stack.filter_frame(frag.source, frag.header.kind, 0.0) is False
 
 
 # ---------------------------------------------------------------- csm-like

@@ -150,3 +150,52 @@ def test_energy_ledger_covers_every_node():
     )
     assert set(r.node_power_mw) == {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
     assert all(p > 0.0 for p in r.node_power_mw.values())
+
+
+def _starved_session_run(timeout, duration):
+    # Every fragment is corrupted, so sender 1's first datagram (first
+    # fragment at 61.251 s) seeds the wrong chain, its continuations fail
+    # their tags, and the session stays open until something ends it.
+    cfg = _cfg(
+        stack="pcsm",
+        senders=1,
+        duration=duration,
+        channel={"loss_rate": 0.0, "corruption_rate": 1.0},
+        buffer={"timeout": timeout},
+    )
+    return simulate(cfg, seed=2, trace=True)
+
+
+@pytest.mark.parametrize(
+    "timeout,evicted_at",
+    # 61.251 + 10.749 is exactly 72.0, which is not past the deadline yet
+    [(10.0, 72.0), (10.749, 73.0)],
+)
+def test_open_session_times_out_at_first_whole_second_tick_past_deadline(timeout, evicted_at):
+    r = _starved_session_run(timeout, duration=100.0)
+    first = r.records[0]
+    assert first.time == 61.251
+    assert first.disposition == "timeout"
+    late_penalties = [when for when, node, _ in r.trust_history if node == 1 and when > 62.0]
+    assert late_penalties == [evicted_at]
+
+
+@pytest.mark.parametrize("duration,disposition", [(71.9, "buffered"), (72.0, "timeout")])
+def test_session_open_at_end_of_run_is_buffered(duration, disposition):
+    r = _starved_session_run(10.0, duration=duration)
+    assert r.records[0].disposition == disposition
+
+
+def test_arrival_goes_before_a_tick_at_the_same_instant():
+    # The train's fragments land at 61.0, 66.5 and exactly 72.0 s; the
+    # session passes its 71.5 s deadline, so the tick at 72.0 s would
+    # evict it if it ran before the last fragment.
+    cfg = _cfg(
+        senders=1,
+        duration=100.0,
+        buffer={"timeout": 10.5},
+        traffic={"phase_base": 60.999, "phase_step": 0.0, "pacing": 5.5},
+    )
+    r = simulate(cfg, seed=1)
+    assert [rec.time for rec in r.records] == [61.0, 66.5, 72.0]
+    assert [rec.disposition for rec in r.records] == ["delivered"] * 3
