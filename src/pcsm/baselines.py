@@ -23,11 +23,10 @@ stacks uniformly.
 
 from __future__ import annotations
 
-import dataclasses
 import hmac
 import struct
 
-from .frag_codec import ExtensionFields, Fragment, FragmentKind
+from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
 from .reassembly import (
     AdmitResult,
     AdmitStatus,
@@ -71,10 +70,7 @@ def mac_sign_fragments(
             key, source, h.kind, h.datagram_size, h.datagram_tag,
             h.datagram_offset, frag_nonce, frag.payload,
         )
-        ext_nonce = nonce if h.kind is FragmentKind.FRAG1 else b""
-        frag.header = dataclasses.replace(
-            h, ext=ExtensionFields(trust_byte, ext_nonce, sig)
-        )
+        frag.header = replace_ext(h, ExtensionFields(trust_byte, frag_nonce, sig))
         frag.source = source
     return fragments
 

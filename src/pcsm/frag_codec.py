@@ -13,12 +13,17 @@ Layout, big-endian throughout:
 The extension appends trust(1) + nonce(4) + signature(8) = 13 bytes to
 a Frag1 and trust(1) + signature(8) = 9 bytes to a FragN.  A decoder
 unaware of the extension still parses the base header unchanged.
+
+Decoding enforces the same invariants as encoding: every header that
+decode_header or decode_base_header returns would pass encode_header.
+The bit widths bound every field but one, so the decoder's only extra
+check is that a FragN offset falls inside its datagram_size.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MAX_FRAGMENT_PAYLOAD = 96
@@ -104,6 +109,11 @@ class Fragment:
     arrival_time: float = 0.0
 
 
+def replace_ext(h: FragmentHeader, ext: ExtensionFields) -> FragmentHeader:
+    """Copy of h carrying ext: dataclasses.replace without its per-call overhead."""
+    return FragmentHeader(h.kind, h.datagram_size, h.datagram_tag, h.datagram_offset, ext)
+
+
 def _check_header(h: FragmentHeader) -> None:
     if not 0 <= h.datagram_size <= MAX_DATAGRAM_SIZE:
         raise InvalidHeader(f"datagram_size {h.datagram_size} outside [0, {MAX_DATAGRAM_SIZE}]")
@@ -139,20 +149,54 @@ def header_length(kind: FragmentKind, with_extension: bool) -> int:
     return FRAGN_BASE_LEN + (FRAGN_EXT_LEN if with_extension else 0)
 
 
+# Whole-header layouts; _check_header has already fixed the nonce and
+# signature lengths, so the "s" fields never pad or truncate.
+_FRAG1_PACK = struct.Struct(">HH").pack
+_FRAGN_PACK = struct.Struct(">HHB").pack
+_FRAG1_EXT_PACK = struct.Struct(">HHB4s8s").pack
+_FRAGN_EXT_PACK = struct.Struct(">HHBB8s").pack
+
+_FRAG1_WORD = DISPATCH_FRAG1 << 11
+_FRAGN_WORD = DISPATCH_FRAGN << 11
+
+
 def encode_header(h: FragmentHeader) -> bytes:
     """Serialize a header; raises InvalidHeader on violated invariants."""
     _check_header(h)
+    ext = h.ext
     if h.kind is FragmentKind.FRAG1:
-        word0 = (DISPATCH_FRAG1 << 11) | h.datagram_size
-        out = struct.pack(">HH", word0, h.datagram_tag)
-        if h.ext is not None:
-            out += bytes([h.ext.trust_byte]) + h.ext.nonce + h.ext.signature
-    else:
-        word0 = (DISPATCH_FRAGN << 11) | h.datagram_size
-        out = struct.pack(">HHB", word0, h.datagram_tag, h.datagram_offset)
-        if h.ext is not None:
-            out += bytes([h.ext.trust_byte]) + h.ext.signature
-    return out
+        word0 = _FRAG1_WORD | h.datagram_size
+        if ext is None:
+            return _FRAG1_PACK(word0, h.datagram_tag)
+        return _FRAG1_EXT_PACK(word0, h.datagram_tag, ext.trust_byte, ext.nonce, ext.signature)
+    word0 = _FRAGN_WORD | h.datagram_size
+    if ext is None:
+        return _FRAGN_PACK(word0, h.datagram_tag, h.datagram_offset)
+    return _FRAGN_EXT_PACK(word0, h.datagram_tag, h.datagram_offset, ext.trust_byte, ext.signature)
+
+
+def _parse_base(data: bytes) -> tuple[FragmentKind, int, int, int, int]:
+    """Base header fields as (kind, size, tag, offset, base length)."""
+    n = len(data)
+    if n < 2:
+        raise Truncated(f"need at least 2 bytes for dispatch, got {n}")
+    word0 = (data[0] << 8) | data[1]
+    dispatch = word0 >> 11
+    size = word0 & 0x07FF
+    if dispatch == DISPATCH_FRAG1:
+        if n < FRAG1_BASE_LEN:
+            raise Truncated(f"Frag1 base header needs {FRAG1_BASE_LEN} bytes, got {n}")
+        return FragmentKind.FRAG1, size, (data[2] << 8) | data[3], 0, FRAG1_BASE_LEN
+    if dispatch == DISPATCH_FRAGN:
+        if n < FRAGN_BASE_LEN:
+            raise Truncated(f"FragN base header needs {FRAGN_BASE_LEN} bytes, got {n}")
+        offset = data[4]
+        if offset * _OFFSET_UNIT >= size:
+            raise InvalidHeader(
+                f"offset {offset} x {_OFFSET_UNIT} must fall inside datagram_size {size}"
+            )
+        return FragmentKind.FRAGN, size, (data[2] << 8) | data[3], offset, FRAGN_BASE_LEN
+    raise NotAFragment(f"dispatch {dispatch:05b} is not a fragmentation header")
 
 
 def decode_base_header(data: bytes) -> FragmentHeader:
@@ -161,22 +205,8 @@ def decode_base_header(data: bytes) -> FragmentHeader:
     This is what a receiver without extension support does; it keeps the
     extension backward-compatible.
     """
-    if len(data) < 2:
-        raise Truncated(f"need at least 2 bytes for dispatch, got {len(data)}")
-    word0 = struct.unpack(">H", data[:2])[0]
-    dispatch = word0 >> 11
-    size = word0 & 0x07FF
-    if dispatch == DISPATCH_FRAG1:
-        if len(data) < FRAG1_BASE_LEN:
-            raise Truncated(f"Frag1 base header needs {FRAG1_BASE_LEN} bytes, got {len(data)}")
-        tag = struct.unpack(">H", data[2:4])[0]
-        return FragmentHeader(FragmentKind.FRAG1, size, tag)
-    if dispatch == DISPATCH_FRAGN:
-        if len(data) < FRAGN_BASE_LEN:
-            raise Truncated(f"FragN base header needs {FRAGN_BASE_LEN} bytes, got {len(data)}")
-        tag = struct.unpack(">H", data[2:4])[0]
-        return FragmentHeader(FragmentKind.FRAGN, size, tag, data[4])
-    raise NotAFragment(f"dispatch {dispatch:05b} is not a fragmentation header")
+    kind, size, tag, offset, _ = _parse_base(data)
+    return FragmentHeader(kind, size, tag, offset)
 
 
 def decode_header(data: bytes) -> FragmentHeader:
@@ -185,22 +215,24 @@ def decode_header(data: bytes) -> FragmentHeader:
     The input must be exactly a base header or a base header plus the
     full extension; any other length is rejected.
     """
-    base = decode_base_header(data)
-    base_len = FRAG1_BASE_LEN if base.kind is FragmentKind.FRAG1 else FRAGN_BASE_LEN
+    kind, size, tag, offset, base_len = _parse_base(data)
     trailing = len(data) - base_len
+    # Frag1: base(4) trust(1) nonce(4) signature(8); FragN: base(5) trust(1) signature(8)
     if trailing == 0:
-        return base
-    if base.kind is FragmentKind.FRAG1 and trailing == FRAG1_EXT_LEN:
-        ext = ExtensionFields(
-            trust_byte=data[base_len],
-            nonce=data[base_len + 1 : base_len + 1 + NONCE_LEN],
-            signature=data[base_len + 1 + NONCE_LEN :],
-        )
-    elif base.kind is FragmentKind.FRAGN and trailing == FRAGN_EXT_LEN:
-        ext = ExtensionFields(trust_byte=data[base_len], signature=data[base_len + 1 :])
+        ext = None
+    elif kind is FragmentKind.FRAG1 and trailing == FRAG1_EXT_LEN:
+        ext = ExtensionFields(data[4], data[5 : 5 + NONCE_LEN], data[5 + NONCE_LEN :])
+    elif kind is FragmentKind.FRAGN and trailing == FRAGN_EXT_LEN:
+        ext = ExtensionFields(data[5], b"", data[6:])
     else:
         raise InvalidHeader(f"{trailing} trailing bytes match no extension layout")
-    return FragmentHeader(base.kind, base.datagram_size, base.datagram_tag, base.datagram_offset, ext)
+    return FragmentHeader(kind, size, tag, offset, ext)
+
+
+# Zero-filled extensions for fragment_packet; frozen, so every fragment
+# can share them until the sender stamps its own.
+_BLANK_FRAG1_EXT = ExtensionFields(nonce=bytes(NONCE_LEN))
+_BLANK_FRAGN_EXT = ExtensionFields()
 
 
 def fragment_packet(payload: bytes, tag: int, with_extension: bool) -> list[Fragment]:
@@ -215,16 +247,13 @@ def fragment_packet(payload: bytes, tag: int, with_extension: bool) -> list[Frag
     if len(payload) > MAX_DATAGRAM_SIZE:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_DATAGRAM_SIZE}")
     size = len(payload)
-    frags: list[Fragment] = []
-    pos = 0
-    while pos < size:
-        chunk = payload[pos : pos + MAX_FRAGMENT_PAYLOAD]
-        if pos == 0:
-            ext = ExtensionFields(nonce=bytes(NONCE_LEN)) if with_extension else None
-            header = FragmentHeader(FragmentKind.FRAG1, size, tag, 0, ext)
-        else:
-            ext = ExtensionFields() if with_extension else None
-            header = FragmentHeader(FragmentKind.FRAGN, size, tag, pos // _OFFSET_UNIT, ext)
-        frags.append(Fragment(header, chunk))
-        pos += len(chunk)
+    ext1 = _BLANK_FRAG1_EXT if with_extension else None
+    extn = _BLANK_FRAGN_EXT if with_extension else None
+    frags = [
+        Fragment(FragmentHeader(FragmentKind.FRAG1, size, tag, 0, ext1),
+                 payload[:MAX_FRAGMENT_PAYLOAD])
+    ]
+    for pos in range(MAX_FRAGMENT_PAYLOAD, size, MAX_FRAGMENT_PAYLOAD):
+        header = FragmentHeader(FragmentKind.FRAGN, size, tag, pos // _OFFSET_UNIT, extn)
+        frags.append(Fragment(header, payload[pos : pos + MAX_FRAGMENT_PAYLOAD]))
     return frags

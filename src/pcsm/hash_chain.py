@@ -17,11 +17,10 @@ so one bad fragment poisons the remainder of that datagram.
 
 from __future__ import annotations
 
-import dataclasses
 import hmac
 from dataclasses import dataclass
 
-from .frag_codec import ExtensionFields, Fragment, FragmentKind
+from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
 
 TAG_LEN = 8
 DEFAULT_ALGORITHM = "sha1"
@@ -64,7 +63,7 @@ def chain_tag(state: HashChainState) -> bytes:
 def next_hash(state: HashChainState, payload: bytes) -> tuple[HashChainState, bytes]:
     """Advance the chain over one payload, returning the new wire tag."""
     digest = _digest(state.key, state.prev_hash + payload, state.algorithm)
-    advanced = dataclasses.replace(state, prev_hash=digest, index=state.index + 1)
+    advanced = HashChainState(state.key, digest, state.nonce, state.index + 1, state.algorithm)
     return advanced, digest[:TAG_LEN]
 
 
@@ -99,14 +98,10 @@ def sign_fragments(
         raise ValueError("fragment train must start with a Frag1")
     state = seed_chain(key, fragments[0].payload, nonce, algorithm)
     first = fragments[0]
-    first.header = dataclasses.replace(
-        first.header, ext=ExtensionFields(trust_byte, nonce, chain_tag(state))
-    )
+    first.header = replace_ext(first.header, ExtensionFields(trust_byte, nonce, chain_tag(state)))
     for frag in fragments[1:]:
         state, tag = next_hash(state, frag.payload)
-        frag.header = dataclasses.replace(
-            frag.header, ext=ExtensionFields(trust_byte, b"", tag)
-        )
+        frag.header = replace_ext(frag.header, ExtensionFields(trust_byte, b"", tag))
     return fragments
 
 

@@ -1,7 +1,9 @@
 """Comparator stack behavior: structural admission, failure counting, per-fragment MACs."""
 
 import dataclasses
+import hmac
 import random
+import struct
 
 import pytest
 
@@ -260,3 +262,32 @@ def test_fragment_mac_is_deterministic_and_key_sensitive():
     assert fragment_mac(KEY, *args) == fragment_mac(KEY, *args)
     assert fragment_mac(KEY, *args) != fragment_mac(b"other-key", *args)
     assert len(fragment_mac(KEY, *args)) == 8
+
+
+def _ref_fragment_mac(key, source, kind, size, tag, offset, nonce, payload):
+    kind_byte = b"\x01" if kind is FragmentKind.FRAG1 else b"\x02"
+    msg = b"fragmac1" + struct.pack(">iHHB", source, size, tag, offset) + kind_byte + nonce + payload
+    return hmac.new(key, msg, "sha1").digest()[:8]
+
+
+def test_fragment_mac_and_signing_match_reference():
+    rng = random.Random(0xFA11)
+    for _ in range(100):
+        key = rng.randbytes(rng.randrange(1, 40))
+        nonce = rng.randbytes(4)
+        source = rng.randrange(-5, 1000)
+        trust_byte = rng.randrange(256)
+        payload = rng.randbytes(rng.randrange(1, 2048))
+        frags = fragment_packet(payload, rng.randrange(0x10000), with_extension=True)
+        expected = []
+        for f in frags:
+            h = f.header
+            frag_nonce = nonce if h.kind is FragmentKind.FRAG1 else b""
+            args = (source, h.kind, h.datagram_size, h.datagram_tag, h.datagram_offset,
+                    frag_nonce, f.payload)
+            sig = _ref_fragment_mac(key, *args)
+            assert fragment_mac(key, *args) == sig
+            expected.append(dataclasses.replace(h, ext=ExtensionFields(trust_byte, frag_nonce, sig)))
+        signed = mac_sign_fragments(key, frags, nonce, source, trust_byte)
+        assert [f.header for f in signed] == expected
+        assert all(f.source == source for f in signed)

@@ -1,6 +1,8 @@
 """Chained-hash tests: frozen golden vectors, tamper detection, chain rules."""
 
+import dataclasses
 import hashlib
+import hmac
 import json
 import pathlib
 import random
@@ -17,6 +19,7 @@ from pcsm.frag_codec import (
 from pcsm.hash_chain import (
     TAG_LEN,
     EmptyKey,
+    HashChainState,
     chain_tag,
     next_hash,
     seed_chain,
@@ -203,3 +206,41 @@ def test_chains_for_distinct_datagrams_are_independent():
     assert _verify_train(key, b"\x00\x00\x00\x01", a) is None
     assert _verify_train(key, b"\x00\x00\x00\x02", b) is None
     assert a[0].header.ext.signature != b[0].header.ext.signature
+
+
+def _ref_sign(key, frags, nonce, trust_byte):
+    """The chain as first written: hmac.new per link, dataclasses.replace per header."""
+    digest = hmac.new(key, frags[0].payload + nonce, "sha1").digest()
+    out = [dataclasses.replace(frags[0].header, ext=ExtensionFields(trust_byte, nonce, digest[:8]))]
+    for frag in frags[1:]:
+        digest = hmac.new(key, digest + frag.payload, "sha1").digest()
+        out.append(dataclasses.replace(frag.header, ext=ExtensionFields(trust_byte, b"", digest[:8])))
+    return out
+
+
+def test_sign_fragments_matches_reference_chain():
+    rng = random.Random(0x5167)
+    for _ in range(200):
+        key = rng.randbytes(rng.randrange(1, 80))
+        nonce = rng.randbytes(4)
+        trust_byte = rng.randrange(256)
+        payload = rng.randbytes(rng.randrange(1, 2048))
+        tag = rng.randrange(0x10000)
+        expected = _ref_sign(key, fragment_packet(payload, tag, True), nonce, trust_byte)
+        frags = sign_fragments(key, fragment_packet(payload, tag, True), nonce, trust_byte)
+        assert [f.header for f in frags] == expected
+        assert b"".join(f.payload for f in frags) == payload
+
+
+def test_next_hash_matches_replace_reference():
+    rng = random.Random(0x4E58)
+    state = seed_chain(b"key", b"first", b"\x00\x00\x00\x01")
+    for _ in range(20):
+        payload = rng.randbytes(rng.randrange(0, 97))
+        digest = hmac.new(state.key, state.prev_hash + payload, "sha1").digest()
+        expected = dataclasses.replace(state, prev_hash=digest, index=state.index + 1)
+        advanced, tag = next_hash(state, payload)
+        assert type(advanced) is HashChainState
+        assert advanced == expected
+        assert tag == digest[:TAG_LEN]
+        state = advanced
