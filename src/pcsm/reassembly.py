@@ -21,7 +21,6 @@ for traffic that already failed the chain.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,45 +74,29 @@ class ReplayLedger:
 
     A hit refreshes the entry: a triple being replayed is exactly the
     one worth remembering.  Capacity eviction is FIFO by insertion.
-
-    `_earliest` is a lower bound on every entry's expiry: each expiry
-    written lowers it, and capacity pops only remove entries.  A purge
-    at a time before the bound cannot find a dead entry, so it returns
-    without scanning; this holds for any order of `now`.
     """
 
     def __init__(self, horizon: float = 60.0, capacity: int = 64):
         self.horizon = horizon
         self.capacity = capacity
         self.entries: OrderedDict[tuple[int, int, bytes], float] = OrderedDict()
-        self._earliest = math.inf
 
     def _purge(self, now: float) -> None:
-        if now < self._earliest:
-            return
-        entries = self.entries
-        dead = [k for k, expiry in entries.items() if expiry <= now]
+        dead = [k for k, expiry in self.entries.items() if expiry <= now]
         for k in dead:
-            del entries[k]
-        self._earliest = min(entries.values(), default=math.inf)
-
-    def _stamp(self, key: tuple[int, int, bytes], now: float) -> None:
-        expiry = now + self.horizon
-        self.entries[key] = expiry
-        if expiry < self._earliest:
-            self._earliest = expiry
+            del self.entries[k]
 
     def seen(self, source: int, tag: int, nonce: bytes, now: float) -> bool:
         self._purge(now)
         key = (source, tag, nonce)
         if key in self.entries:
-            self._stamp(key, now)
+            self.entries[key] = now + self.horizon
             return True
         return False
 
     def record(self, source: int, tag: int, nonce: bytes, now: float) -> None:
         self._purge(now)
-        self._stamp((source, tag, nonce), now)
+        self.entries[(source, tag, nonce)] = now + self.horizon
         while len(self.entries) > self.capacity:
             self.entries.popitem(last=False)
 

@@ -4,12 +4,8 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pcsm.frag_codec import (
-    DISPATCH_FRAG1,
-    DISPATCH_FRAGN,
     FRAG1_EXT_LEN,
     FRAGN_EXT_LEN,
     MAX_DATAGRAM_SIZE,
@@ -247,50 +243,3 @@ def test_fragment_packet_extensions_are_zero_filled_and_frozen():
     assert all(f.header.ext == ExtensionFields(0, b"", bytes(SIGNATURE_LEN)) for f in frags[1:])
     with pytest.raises(AttributeError):
         frags[1].header.ext.trust_byte = 1
-
-
-@st.composite
-def _valid_headers(draw):
-    kind = draw(st.sampled_from(FragmentKind))
-    tag = draw(st.integers(0, 0xFFFF))
-    trust = draw(st.integers(0, 0xFF))
-    signature = draw(st.binary(min_size=SIGNATURE_LEN, max_size=SIGNATURE_LEN))
-    with_ext = draw(st.booleans())
-    if kind is FragmentKind.FRAG1:
-        size = draw(st.integers(0, MAX_DATAGRAM_SIZE))
-        nonce = draw(st.binary(min_size=NONCE_LEN, max_size=NONCE_LEN))
-        ext = ExtensionFields(trust, nonce, signature) if with_ext else None
-        return FragmentHeader(kind, size, tag, 0, ext)
-    size = draw(st.integers(1, MAX_DATAGRAM_SIZE))
-    offset = draw(st.integers(0, min(0xFF, (size - 1) // 8)))
-    ext = ExtensionFields(trust, b"", signature) if with_ext else None
-    return FragmentHeader(kind, size, tag, offset, ext)
-
-
-# Arbitrary bytes, plus bytes that start with a fragmentation dispatch
-# so the property also covers the header forms, not just NotAFragment.
-_wire_bytes = st.one_of(
-    st.binary(max_size=24),
-    st.builds(
-        lambda dispatch, size_hi, rest: bytes([(dispatch << 3) | size_hi]) + rest,
-        st.sampled_from([DISPATCH_FRAG1, DISPATCH_FRAGN]),
-        st.integers(0, 7),
-        st.binary(max_size=23),
-    ),
-)
-
-
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(_valid_headers())
-def test_property_decode_inverts_encode(h):
-    assert decode_header(encode_header(h)) == h
-
-
-@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
-@given(_wire_bytes)
-def test_property_decode_accepts_only_what_encode_produces(data):
-    try:
-        h = decode_header(data)
-    except CodecError:
-        return
-    assert encode_header(h) == data
