@@ -48,10 +48,6 @@ class ScheduledSend:
     # per-fragment channel fate at the root, index 0 is the first fragment
     lost: tuple[bool, ...] = ()
 
-    @property
-    def fragment_count(self) -> int:
-        return -(-len(self.payload) // MAX_FRAGMENT_PAYLOAD)
-
 
 class AttackEmission(NamedTuple):
     """A single frame the adversary puts on the air."""
@@ -110,10 +106,12 @@ class _TagCounter:
         return tag
 
 
-def _warmup_emissions(spec: AttackSpec, rng, tags: _TagCounter) -> list[AttackEmission]:
+def _warmup_emissions(spec: AttackSpec, rng, tags: _TagCounter, duration: float):
+    # Stopping at the end of the run changes nothing: when start >= duration
+    # no later draw emits inside the run either.
     out = []
     t = spec.warmup_start
-    while t < spec.start:
+    while t < min(spec.start, duration):
         payload = rng.randbytes(spec.warmup_bytes)
         out.append(
             AttackEmission(
@@ -154,7 +152,7 @@ def _forged_frag1(spec: AttackSpec, rng, tags: _TagCounter, when: float) -> Atta
 def build_early_frag1(spec, legit_sends, duration, rng):
     """Salvo of forged buffer reservations just ahead of each victim transmission."""
     tags = _TagCounter()
-    out = _warmup_emissions(spec, rng, tags)
+    out = _warmup_emissions(spec, rng, tags, duration)
     for send in legit_sends:
         if send.time < spec.start or send.time >= duration:
             continue
@@ -168,7 +166,7 @@ def build_early_frag1(spec, legit_sends, duration, rng):
 def build_complete_flooding(spec, legit_sends, duration, rng):
     """Full well-formed fragment trains with garbage payloads and signatures."""
     tags = _TagCounter()
-    out = _warmup_emissions(spec, rng, tags)
+    out = _warmup_emissions(spec, rng, tags, duration)
     t = spec.start
     while t < duration:
         tag = tags.take()
@@ -234,7 +232,7 @@ def build_header_replay(spec, legit_sends, duration, rng):
 def build_burst_injection(spec, legit_sends, duration, rng):
     """Sustained stream of forged reservations at a fixed rate."""
     tags = _TagCounter()
-    out = _warmup_emissions(spec, rng, tags)
+    out = _warmup_emissions(spec, rng, tags, duration)
     n = 0
     while True:
         t = spec.start + n / spec.burst_rate
@@ -248,7 +246,7 @@ def build_burst_injection(spec, legit_sends, duration, rng):
 def build_late_phase(spec, legit_sends, duration, rng):
     """Bursts of orphan continuation fragments trailing each victim send."""
     tags = _TagCounter()
-    out = _warmup_emissions(spec, rng, tags)
+    out = _warmup_emissions(spec, rng, tags, duration)
     for send in legit_sends:
         if send.time < spec.start or send.time >= duration:
             continue

@@ -16,9 +16,9 @@ Three stacks bracket the secured pipeline:
   received, verified and dropped one by one, paying the verification
   cost every time.
 
-All three expose the same surface as PredictiveCsmStack (filter_frame,
-admit, tick, flush, drain_evictions, buffer) so the simulator treats
-stacks uniformly.
+All three subclass ReceiverStack, as PredictiveCsmStack does, and
+override only the gates they have, so the simulator treats stacks
+uniformly.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ import hmac
 import struct
 
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
-from .reassembly import (
-    AdmitResult,
-    AdmitStatus,
-    DropReason,
-    ReassemblyBuffer,
-    ReassemblySession,
-    ReplayLedger,
-    _dropped,
-)
+from .reassembly import ReceiverStack, ReplayLedger
 
 # CPU milliseconds per independent per-fragment MAC (sign or verify).
 MAC_CPU_MS = 4.0
@@ -75,70 +67,14 @@ def mac_sign_fragments(
     return fragments
 
 
-class VanillaStack:
+class VanillaStack(ReceiverStack):
     """Structural admission only: no trust, no signatures, no replay ledger."""
 
-    def __init__(self, slots: int = 2, timeout: float = 10.0):
-        self.buffer = ReassemblyBuffer(slots, timeout)
-        self.evictions: list[ReassemblySession] = []
-
-    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
-        """Radio-level filter on link source and dispatch kind: never drops."""
-        return False
-
-    def admit(self, frag: Fragment, now: float) -> AdmitResult:
-        self.buffer.advance(now)
-        if frag.header.kind is FragmentKind.FRAG1:
-            return self._admit_frag1(frag, now)
-        return self._admit_fragn(frag, now)
-
-    def _admit_frag1(self, frag: Fragment, now: float) -> AdmitResult:
-        src, tag = frag.source, frag.header.datagram_tag
-        if self.buffer.find(src, tag) is not None:
-            # Tag collision with an open session.  Without any replay
-            # ledger this is indistinguishable from wrap-around reuse,
-            # so it is a structural drop, not a detection.
-            return _dropped(DropReason.DUPLICATE)
-        if not self.buffer.has_free_slot():
-            return _dropped(DropReason.BUFFER_FULL)
-        session = ReassemblySession(
-            src, tag, frag.header.datagram_size, now, bytes(4), None
-        )
-        session.store(frag)
-        if session.complete:
-            return AdmitResult(
-                AdmitStatus.DELIVERED, payload=session.assemble(), fragments=session.fragments
-            )
-        self.buffer.open(session)
-        return AdmitResult(AdmitStatus.STORED)
-
-    def _admit_fragn(self, frag: Fragment, now: float) -> AdmitResult:
-        session = self.buffer.find(frag.source, frag.header.datagram_tag)
-        if session is None:
-            return _dropped(DropReason.NO_SESSION)
-        session.store(frag)
-        if session.complete:
-            self.buffer.close(session)
-            return AdmitResult(
-                AdmitStatus.DELIVERED, payload=session.assemble(), fragments=session.fragments
-            )
-        return AdmitResult(AdmitStatus.STORED)
-
-    def tick(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        return self.buffer.evict_expired(now)
-
-    def flush(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        return self.buffer.flush()
-
-    def drain_evictions(self) -> list[ReassemblySession]:
-        drained = self.evictions
-        self.evictions = []
-        return drained
+    # bench/layers.py wraps these in each stack class's own namespace
+    admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
 
-class CsmLikeStack(VanillaStack):
+class CsmLikeStack(ReceiverStack):
     """Vanilla plus a per-source consecutive-failure block.
 
     Failures are timed-out reassemblies attributed to the claimed
@@ -148,6 +84,9 @@ class CsmLikeStack(VanillaStack):
     costs RX energy, and nothing validates individual fragments, so a
     spoofed trusted identity passes until its sessions start failing.
     """
+
+    # bench/layers.py wraps these in each stack class's own namespace
+    admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
     def __init__(
         self,
@@ -161,7 +100,6 @@ class CsmLikeStack(VanillaStack):
         self.block_duration = block_duration
         self.failures: dict[int, int] = {}
         self.blocked_until: dict[int, float] = {}
-        self.block_events: dict[int, int] = {}
 
     def is_blocked(self, source: int, now: float) -> bool:
         until = self.blocked_until.get(source)
@@ -173,38 +111,28 @@ class CsmLikeStack(VanillaStack):
         self.failures[source] = 0
         return False
 
-    def admit(self, frag: Fragment, now: float) -> AdmitResult:
-        self.buffer.advance(now)
-        if self.is_blocked(frag.source, now):
-            return _dropped(DropReason.UNTRUSTED)
-        if frag.header.kind is FragmentKind.FRAG1:
-            result = self._admit_frag1(frag, now)
-        else:
-            result = self._admit_fragn(frag, now)
-        if result.status is AdmitStatus.DELIVERED:
-            self.failures[frag.source] = 0
-        return result
+    def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
+        return self.is_blocked(source, now)
 
-    def tick(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        evicted = self.buffer.evict_expired(now)
-        for session in evicted:
-            count = self.failures.get(session.source, 0) + 1
-            self.failures[session.source] = count
-            if count >= self.failure_limit:
-                if session.source not in self.blocked_until:
-                    events = self.block_events.get(session.source, 0)
-                    self.block_events[session.source] = events + 1
-                self.blocked_until[session.source] = now + self.block_duration
-        return evicted
+    def _expired(self, source: int, now: float) -> None:
+        count = self.failures.get(source, 0) + 1
+        self.failures[source] = count
+        if count >= self.failure_limit:
+            if source not in self.blocked_until:
+                self.block_events[source] = self.block_events.get(source, 0) + 1
+            self.blocked_until[source] = now + self.block_duration
 
-    def flush(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        return self.buffer.flush()
+    def _delivered(self, source: int, now: float) -> None:
+        self.failures[source] = 0
 
 
-class SecuPanLikeStack:
+class SecuPanLikeStack(ReceiverStack):
     """Per-fragment MAC verification before buffering, no behavioral trust."""
+
+    VERIFY_CPU_MS = MAC_CPU_MS
+
+    # bench/layers.py wraps these in each stack class's own namespace
+    admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
     def __init__(
         self,
@@ -214,16 +142,11 @@ class SecuPanLikeStack:
         replay_horizon: float = 60.0,
         replay_capacity: int = 64,
     ):
+        super().__init__(slots, timeout)
         self.key = key
-        self.buffer = ReassemblyBuffer(slots, timeout)
         self.ledger = ReplayLedger(replay_horizon, replay_capacity)
-        self.evictions: list[ReassemblySession] = []
 
-    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
-        """Radio-level filter on link source and dispatch kind: never drops."""
-        return False
-
-    def _verify(self, frag: Fragment) -> bool:
+    def _authentic(self, frag: Fragment) -> bool:
         ext = frag.header.ext
         if ext is None:
             return False
@@ -234,60 +157,3 @@ class SecuPanLikeStack:
             h.datagram_offset, nonce, frag.payload,
         )
         return hmac.compare_digest(expected, ext.signature)
-
-    def admit(self, frag: Fragment, now: float) -> AdmitResult:
-        self.buffer.advance(now)
-        # every received fragment is verified, valid or not
-        if not self._verify(frag):
-            return _dropped(DropReason.BAD_SIGNATURE, cpu_ms=MAC_CPU_MS)
-        if frag.header.kind is FragmentKind.FRAG1:
-            return self._admit_frag1(frag, now)
-        return self._admit_fragn(frag, now)
-
-    def _admit_frag1(self, frag: Fragment, now: float) -> AdmitResult:
-        src, tag = frag.source, frag.header.datagram_tag
-        nonce = frag.header.ext.nonce
-        if self.ledger.seen(src, tag, nonce, now) or self.buffer.find(src, tag) is not None:
-            return _dropped(DropReason.REPLAY, cpu_ms=MAC_CPU_MS)
-        if not self.buffer.has_free_slot():
-            return _dropped(DropReason.BUFFER_FULL, cpu_ms=MAC_CPU_MS)
-        self.ledger.record(src, tag, nonce, now)
-        session = ReassemblySession(src, tag, frag.header.datagram_size, now, nonce, None)
-        session.store(frag)
-        if session.complete:
-            return AdmitResult(
-                AdmitStatus.DELIVERED,
-                payload=session.assemble(),
-                cpu_ms=MAC_CPU_MS,
-                fragments=session.fragments,
-            )
-        self.buffer.open(session)
-        return AdmitResult(AdmitStatus.STORED, cpu_ms=MAC_CPU_MS)
-
-    def _admit_fragn(self, frag: Fragment, now: float) -> AdmitResult:
-        session = self.buffer.find(frag.source, frag.header.datagram_tag)
-        if session is None:
-            return _dropped(DropReason.NO_SESSION, cpu_ms=MAC_CPU_MS)
-        session.store(frag)
-        if session.complete:
-            self.buffer.close(session)
-            return AdmitResult(
-                AdmitStatus.DELIVERED,
-                payload=session.assemble(),
-                cpu_ms=MAC_CPU_MS,
-                fragments=session.fragments,
-            )
-        return AdmitResult(AdmitStatus.STORED, cpu_ms=MAC_CPU_MS)
-
-    def tick(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        return self.buffer.evict_expired(now)
-
-    def flush(self, now: float) -> list[ReassemblySession]:
-        self.buffer.advance(now)
-        return self.buffer.flush()
-
-    def drain_evictions(self) -> list[ReassemblySession]:
-        drained = self.evictions
-        self.evictions = []
-        return drained

@@ -51,10 +51,6 @@ SENSITIVITY_LABELS = {
 }
 
 
-class IoFailure(OSError):
-    """A result file or directory could not be written or read."""
-
-
 def _seeds(args) -> list[int]:
     return list(range(args.seed, args.seed + args.seed_count))
 

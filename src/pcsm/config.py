@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .attacks import ATTACK_KINDS, AttackSpec
+from .frag_codec import MAX_DATAGRAM_SIZE
 from .trust_engine import TrustParams
 
 STACKS = ("vanilla", "csm", "secupan", "pcsm")
@@ -178,11 +179,15 @@ def _parse_traffic(data) -> TrafficConfig:
 _ATTACK_INT_FIELDS = (
     "salvo_size", "late_orphans", "replay_pool", "warmup_bytes", "forged_size", "flood_bytes",
 )
+# datagram sizes: the header's size field is 11 bits wide
+_ATTACK_SIZE_FIELDS = ("warmup_bytes", "forged_size", "flood_bytes")
 _ATTACK_NUMBER_FIELDS = {
     f.name: f.default
     for f in fields(AttackSpec)
     if f.name not in ("kind", "attacker") + _ATTACK_INT_FIELDS
 }
+# the builders step their clocks by these; zero would never advance
+_ATTACK_POSITIVE_FIELDS = ("warmup_interval", "flood_interval", "replay_interval", "burst_rate")
 
 
 def _parse_attack(data, senders: int) -> AttackSpec | None:
@@ -199,9 +204,11 @@ def _parse_attack(data, senders: int) -> AttackSpec | None:
     kwargs["attacker"] = _int(section, "attacker", "attack.", senders + 1, lo=1)
     for name in _ATTACK_INT_FIELDS:
         default = next(f.default for f in fields(AttackSpec) if f.name == name)
-        kwargs[name] = _int(section, name, "attack.", default, lo=1)
+        hi = MAX_DATAGRAM_SIZE if name in _ATTACK_SIZE_FIELDS else None
+        kwargs[name] = _int(section, name, "attack.", default, lo=1, hi=hi)
     for name, default in _ATTACK_NUMBER_FIELDS.items():
-        kwargs[name] = _num(section, name, "attack.", default, lo=0.0)
+        positive = name in _ATTACK_POSITIVE_FIELDS
+        kwargs[name] = _num(section, name, "attack.", default, lo=0.0, lo_open=positive)
     _reject_unknown(section, "attack")
     return AttackSpec(**kwargs)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 MAX_FRAGMENT_PAYLOAD = 96
 MAX_DATAGRAM_SIZE = 2047
@@ -106,7 +107,8 @@ class Fragment:
     header: FragmentHeader
     payload: bytes
     source: int = -1
-    arrival_time: float = 0.0
+    # the receiver's accounting entry for this fragment (simulator.FrameRecord)
+    record: Any = None
 
 
 def replace_ext(h: FragmentHeader, ext: ExtensionFields) -> FragmentHeader:

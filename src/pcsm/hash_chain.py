@@ -37,7 +37,6 @@ class HashChainState:
     key: bytes
     prev_hash: bytes
     nonce: bytes
-    index: int = 0
     algorithm: str = DEFAULT_ALGORITHM
 
 
@@ -52,7 +51,7 @@ def seed_chain(
     if not key:
         raise EmptyKey("chain key must be non-empty")
     h0 = _digest(key, payload_frag1 + nonce, algorithm)
-    return HashChainState(key, h0, nonce, 0, algorithm)
+    return HashChainState(key, h0, nonce, algorithm)
 
 
 def chain_tag(state: HashChainState) -> bytes:
@@ -63,7 +62,7 @@ def chain_tag(state: HashChainState) -> bytes:
 def next_hash(state: HashChainState, payload: bytes) -> tuple[HashChainState, bytes]:
     """Advance the chain over one payload, returning the new wire tag."""
     digest = _digest(state.key, state.prev_hash + payload, state.algorithm)
-    advanced = HashChainState(state.key, digest, state.nonce, state.index + 1, state.algorithm)
+    advanced = HashChainState(state.key, digest, state.nonce, state.algorithm)
     return advanced, digest[:TAG_LEN]
 
 

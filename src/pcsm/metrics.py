@@ -103,20 +103,22 @@ class RunMetrics:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _drops_by_reason(records: list[FrameRecord]) -> dict[str, int]:
+    drops: dict[str, int] = {}
+    for rec in records:
+        if rec.disposition in DROP_DISPOSITIONS:
+            drops[rec.disposition] = drops.get(rec.disposition, 0) + 1
+    return drops
+
+
 def collect(result: RunResult) -> RunMetrics:
     """Reduce one run's records to a RunMetrics."""
     attacker = result.attacker
     legit = [r for r in result.records if r.origin != attacker]
     hostile = [r for r in result.records if attacker is not None and r.origin == attacker]
 
-    legit_drops: dict[str, int] = {}
-    for rec in legit:
-        if rec.disposition in DROP_DISPOSITIONS:
-            legit_drops[rec.disposition] = legit_drops.get(rec.disposition, 0) + 1
-    hostile_drops: dict[str, int] = {}
-    for rec in hostile:
-        if rec.disposition in DROP_DISPOSITIONS:
-            hostile_drops[rec.disposition] = hostile_drops.get(rec.disposition, 0) + 1
+    legit_drops = _drops_by_reason(legit)
+    hostile_drops = _drops_by_reason(hostile)
 
     sent = sum(result.sent_datagrams.values())
     delivered = sum(

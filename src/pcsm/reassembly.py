@@ -1,15 +1,12 @@
-"""Slot-based reassembly with the full security admission pipeline.
+"""Slot-based reassembly and the admission pipeline every receiver stack runs.
 
 The buffer itself is plain mechanics: a fixed number of slots, one
 in-progress datagram per slot, timeout eviction, and occupancy
-statistics.  On top of it, PredictiveCsmStack wires the admission
-order for first fragments:
-
-  blocked source -> replay ledger -> behavioral screening -> slot
-
-and for continuation fragments:
-
-  open session -> chained-signature check -> store / deliver
+statistics.  ReceiverStack puts one fixed sequence of gates in front
+of it; each stack overrides only the gates it has.  PredictiveCsmStack
+fills in the blocked-source filter, the replay ledger, the behavioral
+screen and the chained-signature check; the comparator stacks in
+baselines.py fill in fewer.
 
 Drops never raise; every fragment ends in exactly one disposition so
 per-node accounting stays conserved (received = buffered + delivered +
@@ -188,8 +185,145 @@ class ReassemblyBuffer:
         return remaining
 
 
-class PredictiveCsmStack:
-    """Receiver pipeline combining trust gate, replay ledger and chain checks.
+class ReceiverStack:
+    """The admission pipeline every receiver stack runs; subclasses add gates.
+
+    admit() holds the one fixed gate order.  Every gate here is open and
+    every outcome hook a no-op, so this class as it stands is the vanilla
+    stack.  An open-session collision is a REPLAY on a stack with a replay
+    ledger; without one it cannot be told from tag wrap-around and is a
+    structural DUPLICATE.  Only a session that holds a chain is checked,
+    and each chain seed or verify costs HASH_CPU_MS.  VERIFY_CPU_MS is
+    charged on every outcome past the blocked-source gate.
+    """
+
+    VERIFY_CPU_MS = 0.0
+    ledger: ReplayLedger | None = None
+    trust_history: list[tuple[float, int, float]] | None = None
+
+    def __init__(self, slots: int = 2, timeout: float = 10.0):
+        self.buffer = ReassemblyBuffer(slots, timeout)
+        # sessions evicted outside tick() (blacklist purges), drained by the caller
+        self.evictions: list[ReassemblySession] = []
+        # per-source count of transitions into the blocked state
+        self.block_events: dict[int, int] = {}
+
+    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
+        """Radio-level filter on link source and dispatch kind: True drops the frame."""
+        return False
+
+    def is_identified(self, source: int, now: float) -> bool:
+        """True while the stack holds source identified as hostile."""
+        return False
+
+    def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
+        return False
+
+    def _authentic(self, frag: Fragment) -> bool:
+        return True
+
+    def _screen(self, source: int, tag: int, now: float) -> bool:
+        return True
+
+    def _seed(self, payload: bytes, nonce: bytes) -> HashChainState | None:
+        return None
+
+    def _rejected(self, source: int, now: float, bad_chain: bool) -> None:
+        """A continuation had no session, or failed the chain check."""
+
+    def _expired(self, source: int, now: float) -> None:
+        """A session timed out."""
+
+    def _flushed(self, source: int, now: float) -> None:
+        """A session was still open at the end of the run."""
+
+    def _delivered(self, source: int, now: float) -> None:
+        """A datagram completed."""
+
+    def admit(self, frag: Fragment, now: float) -> AdmitResult:
+        buffer = self.buffer
+        buffer.advance(now)
+        src = frag.source
+        header = frag.header
+        kind = header.kind
+        if self._blocked(src, kind, now):
+            return _dropped(DropReason.UNTRUSTED)
+        cpu = self.VERIFY_CPU_MS
+        if not self._authentic(frag):
+            return _dropped(DropReason.BAD_SIGNATURE, cpu)
+        tag = header.datagram_tag
+        ext = header.ext
+        if kind is FragmentKind.FRAG1:
+            nonce = ext.nonce if ext is not None else bytes(NONCE_LEN)
+            ledger = self.ledger
+            if ledger is not None and ledger.seen(src, tag, nonce, now):
+                return _dropped(DropReason.REPLAY, cpu)
+            if buffer.find(src, tag) is not None:
+                collision = DropReason.DUPLICATE if ledger is None else DropReason.REPLAY
+                return _dropped(collision, cpu)
+            if not self._screen(src, tag, now):
+                return _dropped(DropReason.UNTRUSTED, cpu)
+            if not buffer.has_free_slot():
+                return _dropped(DropReason.BUFFER_FULL, cpu)
+            if ledger is not None:
+                ledger.record(src, tag, nonce, now)
+            chain = self._seed(frag.payload, nonce)
+            if chain is not None:
+                cpu += HASH_CPU_MS
+            session = ReassemblySession(src, tag, header.datagram_size, now, nonce, chain)
+            session.store(frag)
+            if not session.complete:
+                buffer.open(session)
+                return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
+        else:
+            session = buffer.find(src, tag)
+            if session is None:
+                self._rejected(src, now, False)
+                return _dropped(DropReason.NO_SESSION, cpu)
+            if session.chain is not None:
+                cpu += HASH_CPU_MS
+                signature = ext.signature if ext is not None else b""
+                ok, chain = validate_fragment(session.chain, frag.payload, signature)
+                if not ok:
+                    self._rejected(src, now, True)
+                    return _dropped(DropReason.BAD_SIGNATURE, cpu)
+                session.chain = chain
+            session.store(frag)
+            if not session.complete:
+                return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
+            buffer.close(session)
+        self._delivered(src, now)
+        return AdmitResult(
+            AdmitStatus.DELIVERED, payload=session.assemble(), cpu_ms=cpu,
+            fragments=session.fragments,
+        )
+
+    def tick(self, now: float) -> list[ReassemblySession]:
+        """Evict expired sessions."""
+        self.buffer.advance(now)
+        evicted = self.buffer.evict_expired(now)
+        for session in evicted:
+            self._expired(session.source, now)
+        evicted.extend(self.drain_evictions())
+        return evicted
+
+    def flush(self, now: float) -> list[ReassemblySession]:
+        """End of run: evict everything still incomplete."""
+        self.buffer.advance(now)
+        remaining = self.buffer.flush()
+        for session in remaining:
+            self._flushed(session.source, now)
+        remaining.extend(self.drain_evictions())
+        return remaining
+
+    def drain_evictions(self) -> list[ReassemblySession]:
+        drained = self.evictions
+        self.evictions = []
+        return drained
+
+
+class PredictiveCsmStack(ReceiverStack):
+    """Trust gate, replay ledger and chained signatures on the shared pipeline.
 
     Design notes, where behavior is not obvious from the structure:
 
@@ -213,6 +347,9 @@ class PredictiveCsmStack:
       purged immediately (counted as timeouts, with no extra penalty).
     """
 
+    # bench/layers.py wraps these in each stack class's own namespace
+    admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
+
     def __init__(
         self,
         key: bytes,
@@ -223,14 +360,14 @@ class PredictiveCsmStack:
         replay_capacity: int = 64,
         keep_trust_history: bool = False,
     ):
+        super().__init__(slots, timeout)
         self.key = key
         params = trust_params or TrustParams()
         self.engine = TrustEngine(params, keep_history=keep_trust_history)
         self.tracker = ObservationTracker(params.nominal_interval)
         self.ledger = ReplayLedger(replay_horizon, replay_capacity)
-        self.buffer = ReassemblyBuffer(slots, timeout)
-        # sessions evicted outside tick() (blacklist purges), drained by the caller
-        self.evictions: list[ReassemblySession] = []
+        self.block_events = self.engine.block_events
+        self.trust_history = self.engine.history
 
     def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
         """Radio-level filter: True when the source is blacklisted.
@@ -248,99 +385,40 @@ class PredictiveCsmStack:
             self.tracker.touch(source, now)
         return True
 
+    def is_identified(self, source: int, now: float) -> bool:
+        return self.engine.is_blocked(source, now)
+
     def _purge_if_blocked(self, source: int, now: float) -> None:
         if self.engine.is_blocked(source, now):
             self.evictions.extend(self.buffer.purge_source(source))
 
-    def admit(self, frag: Fragment, now: float) -> AdmitResult:
-        self.buffer.advance(now)
-        if self.filter_frame(frag.source, frag.header.kind, now):
-            return _dropped(DropReason.UNTRUSTED)
-        if frag.header.kind is FragmentKind.FRAG1:
-            return self._admit_frag1(frag, now)
-        return self._admit_fragn(frag, now)
+    def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
+        # a frame the radio would have filtered never gets past admit() either
+        return self.filter_frame(source, kind, now)
 
-    def _admit_frag1(self, frag: Fragment, now: float) -> AdmitResult:
-        src = frag.source
-        tag = frag.header.datagram_tag
-        ext = frag.header.ext
-        nonce = ext.nonce if ext is not None else bytes(NONCE_LEN)
+    def _screen(self, source: int, tag: int, now: float) -> bool:
+        obs = self.tracker.observe_frag1(source, tag, now)
+        accept, anomalous = self.engine.evaluate_frag1(source, obs, now)
+        if accept and not anomalous:
+            return True
+        self._purge_if_blocked(source, now)
+        return False
 
-        if self.ledger.seen(src, tag, nonce, now) or self.buffer.find(src, tag) is not None:
-            return _dropped(DropReason.REPLAY)
+    def _seed(self, payload: bytes, nonce: bytes) -> HashChainState:
+        return seed_chain(self.key, payload, nonce)
 
-        obs = self.tracker.observe_frag1(src, tag, now)
-        accept, anomalous = self.engine.evaluate_frag1(src, obs, now)
-        if not accept or anomalous:
-            self._purge_if_blocked(src, now)
-            return _dropped(DropReason.UNTRUSTED)
-        if not self.buffer.has_free_slot():
-            return _dropped(DropReason.BUFFER_FULL)
+    def _rejected(self, source: int, now: float, bad_chain: bool) -> None:
+        self.engine.penalize(source, now)
+        if bad_chain:
+            self.tracker.note_violation(source)
+        self._purge_if_blocked(source, now)
 
-        self.ledger.record(src, tag, nonce, now)
-        chain = seed_chain(self.key, frag.payload, nonce)
-        size = frag.header.datagram_size
-        session = ReassemblySession(src, tag, size, now, nonce, chain)
-        session.store(frag)
-        if session.complete:
-            self.engine.reward(src, now)
-            return AdmitResult(
-                AdmitStatus.DELIVERED,
-                payload=session.assemble(),
-                cpu_ms=HASH_CPU_MS,
-                fragments=session.fragments,
-            )
-        self.buffer.open(session)
-        return AdmitResult(AdmitStatus.STORED, cpu_ms=HASH_CPU_MS)
+    def _expired(self, source: int, now: float) -> None:
+        self.engine.penalize(source, now)
+        self._purge_if_blocked(source, now)
 
-    def _admit_fragn(self, frag: Fragment, now: float) -> AdmitResult:
-        src = frag.source
-        session = self.buffer.find(src, frag.header.datagram_tag)
-        if session is None:
-            self.engine.penalize(src, now)
-            self._purge_if_blocked(src, now)
-            return _dropped(DropReason.NO_SESSION)
-        ext = frag.header.ext
-        signature = ext.signature if ext is not None else b""
-        ok, chain = validate_fragment(session.chain, frag.payload, signature)
-        if not ok:
-            self.engine.penalize(src, now)
-            self.tracker.note_violation(src)
-            self._purge_if_blocked(src, now)
-            return _dropped(DropReason.BAD_SIGNATURE, cpu_ms=HASH_CPU_MS)
-        session.chain = chain
-        session.store(frag)
-        if session.complete:
-            self.buffer.close(session)
-            self.engine.reward(src, now)
-            return AdmitResult(
-                AdmitStatus.DELIVERED,
-                payload=session.assemble(),
-                cpu_ms=HASH_CPU_MS,
-                fragments=session.fragments,
-            )
-        return AdmitResult(AdmitStatus.STORED, cpu_ms=HASH_CPU_MS)
+    def _flushed(self, source: int, now: float) -> None:
+        self.engine.penalize(source, now)
 
-    def tick(self, now: float) -> list[ReassemblySession]:
-        """Evict expired sessions, penalizing each source once."""
-        self.buffer.advance(now)
-        evicted = self.buffer.evict_expired(now)
-        for session in evicted:
-            self.engine.penalize(session.source, now)
-            self._purge_if_blocked(session.source, now)
-        evicted.extend(self.drain_evictions())
-        return evicted
-
-    def flush(self, now: float) -> list[ReassemblySession]:
-        """End of run: evict everything still incomplete."""
-        self.buffer.advance(now)
-        remaining = self.buffer.flush()
-        for session in remaining:
-            self.engine.penalize(session.source, now)
-        remaining.extend(self.drain_evictions())
-        return remaining
-
-    def drain_evictions(self) -> list[ReassemblySession]:
-        drained = self.evictions
-        self.evictions = []
-        return drained
+    def _delivered(self, source: int, now: float) -> None:
+        self.engine.reward(source, now)

@@ -178,14 +178,6 @@ def _build_stack(cfg: ScenarioConfig, trace: bool):
     raise ValueError(f"unknown stack: {cfg.stack!r}")
 
 
-def _stack_block_events(stack) -> dict[int, int]:
-    """Per-source count of transitions into the blocked state, when tracked."""
-    engine = getattr(stack, "engine", None)
-    if engine is not None:
-        return dict(engine.block_events)
-    return dict(getattr(stack, "block_events", {}))
-
-
 def _legit_schedule(cfg: ScenarioConfig, seed: int) -> list[ScheduledSend]:
     """Per-sender periodic datagrams with staggered phases and channel fates."""
     rng_data = random.Random(f"{seed}:payload")
@@ -292,9 +284,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
 
     def _check_identified(now):
         nonlocal identified_at
-        if identified_at is None and is_pcsm and attacker is not None:
-            if stack.engine.is_blocked(attacker, now):
-                identified_at = now
+        if identified_at is None and attacker is not None and stack.is_identified(attacker, now):
+            identified_at = now
 
     def _tick(now):
         _mark(stack.tick(now), "timeout")
@@ -369,8 +360,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         mean_availability=stack.buffer.mean_availability(),
         max_occupancy=stack.buffer.max_occupancy,
         node_power_mw={n: led.power_mw(cfg.duration) for n, led in ledgers.items()},
-        block_events=_stack_block_events(stack),
-        trust_history=stack.engine.history if is_pcsm and trace else None,
+        block_events=dict(stack.block_events),
+        trust_history=stack.trust_history,
     )
 
 

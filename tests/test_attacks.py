@@ -1,6 +1,7 @@
 """Adversary schedule builders: geometry, counts, determinism, dispatch."""
 
 import random
+import time
 
 import pytest
 
@@ -155,6 +156,16 @@ def test_builders_are_deterministic_per_seed(kind):
     c = build_attack(spec, sends, 950.0, random.Random(78))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_attack_starting_after_the_run_builds_only_up_to_its_end(kind):
+    sends = [_send(895.0 + 1.40625 * i, 1 + i % 8, 50 + i) for i in range(8)]
+    began = time.perf_counter()
+    late = build_attack(AttackSpec(kind, start=1e9), sends, 1800.0, random.Random(5))
+    assert time.perf_counter() - began < 0.5
+    at_end = build_attack(AttackSpec(kind, start=1800.0), sends, 1800.0, random.Random(5))
+    assert late == at_end
 
 
 def test_dispatch_rejects_unknown_kind_and_trims_to_duration():

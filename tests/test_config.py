@@ -80,6 +80,13 @@ def test_attack_none_token():
         ({"attack": {"kind": "late_phase", "late_orphans": 0}}, "attack.late_orphans"),
         ({"bogus_top": 1}, "bogus_top"),
         ({"trust": "not a map"}, "trust"),
+        ({"attack": {"kind": "early_frag1", "warmup_interval": 0}}, "attack.warmup_interval"),
+        ({"attack": {"kind": "complete_flooding", "flood_interval": 0}}, "attack.flood_interval"),
+        ({"attack": {"kind": "header_replay", "replay_interval": 0}}, "attack.replay_interval"),
+        ({"attack": {"kind": "burst_injection", "burst_rate": 0}}, "attack.burst_rate"),
+        ({"attack": {"kind": "complete_flooding", "flood_bytes": 5000}}, "attack.flood_bytes"),
+        ({"attack": {"kind": "burst_injection", "forged_size": 2048}}, "attack.forged_size"),
+        ({"attack": {"kind": "early_frag1", "warmup_bytes": 2048}}, "attack.warmup_bytes"),
     ],
 )
 def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):

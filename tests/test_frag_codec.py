@@ -216,7 +216,7 @@ def test_trust_quantization():
 def test_fragment_defaults():
     f = Fragment(FragmentHeader(FragmentKind.FRAG1, 8, 0), bytes(8))
     assert f.source == -1
-    assert f.arrival_time == 0.0
+    assert f.record is None
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ def test_seed_determinism_and_nonce_sensitivity():
     c = seed_chain(b"key", b"payload", b"\x00\x00\x00\x02")
     assert a.prev_hash == b.prev_hash
     assert a.prev_hash != c.prev_hash
-    assert a.index == 0
+    assert a.prev_hash == _ref_hmac_sha1(b"key", b"payload\x00\x00\x00\x01")
 
 
 def test_empty_key_rejected():
@@ -97,7 +97,7 @@ def test_zero_length_payload_is_legal():
     state = seed_chain(b"key", b"first", bytes(4))
     advanced, tag = next_hash(state, b"")
     assert tag == _ref_hmac_sha1(b"key", state.prev_hash)[:TAG_LEN]
-    assert advanced.index == 1
+    assert advanced.prev_hash == _ref_hmac_sha1(b"key", state.prev_hash)
 
 
 def test_chain_advances_only_on_valid():
@@ -108,7 +108,7 @@ def test_chain_advances_only_on_valid():
     assert stalled == state
     ok, advanced = validate_fragment(stalled, b"second", good_tag)
     assert ok
-    assert advanced.index == state.index + 1
+    assert advanced.prev_hash == _ref_hmac_sha1(b"key", state.prev_hash + b"second")
 
 
 def test_early_payload_change_ripples_through_later_tags():
@@ -238,7 +238,7 @@ def test_next_hash_matches_replace_reference():
     for _ in range(20):
         payload = rng.randbytes(rng.randrange(0, 97))
         digest = hmac.new(state.key, state.prev_hash + payload, "sha1").digest()
-        expected = dataclasses.replace(state, prev_hash=digest, index=state.index + 1)
+        expected = dataclasses.replace(state, prev_hash=digest)
         advanced, tag = next_hash(state, payload)
         assert type(advanced) is HashChainState
         assert advanced == expected

@@ -140,6 +140,16 @@ def test_every_record_reaches_a_terminal_state(stack, kind):
     assert collect(r).conservation_ok
 
 
+@pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
+def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
+    # 2047 fills the 11-bit size field; a flood that long still ends at
+    # an offset that fits the 8-bit offset field
+    attack = {"kind": "complete_flooding", "start": 900.0, "flood_bytes": 2047,
+              "forged_size": 2047, "warmup_bytes": 2047}
+    cfg = parse_config({"stack": stack, "duration": 960.0, "attack": attack}, default_name="t")
+    assert collect(simulate(cfg, seed=1)).conservation_ok
+
+
 def test_energy_ledger_covers_every_node():
     r = simulate(
         parse_config(
