@@ -113,18 +113,8 @@ def _warmup_emissions(spec: AttackSpec, rng, tags: _TagCounter, duration: float)
     t = spec.warmup_start
     while t < min(spec.start, duration):
         payload = rng.randbytes(spec.warmup_bytes)
-        out.append(
-            AttackEmission(
-                time=t,
-                kind=FragmentKind.FRAG1,
-                claimed_source=spec.attacker,
-                datagram_size=len(payload),
-                tag=tags.take(),
-                payload=payload,
-                nonce=rng.randbytes(4),
-                sig=rng.randbytes(8),
-            )
-        )
+        out.append(AttackEmission(t, FragmentKind.FRAG1, spec.attacker, len(payload), tags.take(),
+                                  0, payload, rng.randbytes(4), rng.randbytes(8)))
         t += spec.warmup_interval
     return out
 
@@ -132,21 +122,23 @@ def _warmup_emissions(spec: AttackSpec, rng, tags: _TagCounter, duration: float)
 _FORGED_BYTES = MAX_FRAGMENT_PAYLOAD + 4 + 8
 
 
-def _forged_frag1(spec: AttackSpec, rng, tags: _TagCounter, when: float) -> AttackEmission:
+def _forged_frag1s(spec: AttackSpec, rng, tags: _TagCounter, times) -> list[AttackEmission]:
+    """Forged first-fragment reservations, one at each of `times` in order."""
     # One draw for payload, nonce and signature: randbytes(n) is
     # getrandbits(8 * n) in little-endian order and every part is a whole
     # number of 32-bit words, so this is the stream three randbytes calls give.
-    blob = rng.getrandbits(8 * _FORGED_BYTES).to_bytes(_FORGED_BYTES, "little")
-    return AttackEmission(
-        time=when,
-        kind=FragmentKind.FRAG1,
-        claimed_source=spec.attacker,
-        datagram_size=spec.forged_size,
-        tag=tags.take(),
-        payload=blob[:MAX_FRAGMENT_PAYLOAD],
-        nonce=blob[MAX_FRAGMENT_PAYLOAD:-8],
-        sig=blob[-8:],
-    )
+    draw = rng.getrandbits
+    frag1, attacker, size = FragmentKind.FRAG1, spec.attacker, spec.forged_size
+    tag = tags.next_tag
+    out = []
+    for when in times:
+        blob = draw(8 * _FORGED_BYTES).to_bytes(_FORGED_BYTES, "little")
+        out.append(AttackEmission(when, frag1, attacker, size, tag, 0,
+                                  blob[:MAX_FRAGMENT_PAYLOAD], blob[MAX_FRAGMENT_PAYLOAD:-8],
+                                  blob[-8:]))
+        tag = (tag + 1) % 0x10000 or _FORGED_TAG_BASE  # as _TagCounter.take
+    tags.next_tag = tag
+    return out
 
 
 def build_early_frag1(spec, legit_sends, duration, rng):
@@ -157,8 +149,9 @@ def build_early_frag1(spec, legit_sends, duration, rng):
         if send.time < spec.start or send.time >= duration:
             continue
         t0 = send.time - spec.early_lead
-        for k in range(spec.salvo_size):
-            out.append(_forged_frag1(spec, rng, tags, t0 + k * spec.salvo_spacing))
+        out += _forged_frag1s(
+            spec, rng, tags, [t0 + k * spec.salvo_spacing for k in range(spec.salvo_size)]
+        )
     out.sort(key=lambda e: e.time)
     return out
 
@@ -173,20 +166,13 @@ def build_complete_flooding(spec, legit_sends, duration, rng):
         nonce = rng.randbytes(4)
         body = rng.randbytes(spec.flood_bytes)
         for j in range(0, len(body), MAX_FRAGMENT_PAYLOAD):
-            chunk = body[j : j + MAX_FRAGMENT_PAYLOAD]
-            out.append(
-                AttackEmission(
-                    time=t + (j // MAX_FRAGMENT_PAYLOAD) * spec.flood_pacing,
-                    kind=FragmentKind.FRAG1 if j == 0 else FragmentKind.FRAGN,
-                    claimed_source=spec.attacker,
-                    datagram_size=len(body),
-                    tag=tag,
-                    offset=j // 8,
-                    payload=chunk,
-                    nonce=nonce if j == 0 else b"",
-                    sig=rng.randbytes(8),
-                )
-            )
+            first = j == 0
+            out.append(AttackEmission(
+                t + (j // MAX_FRAGMENT_PAYLOAD) * spec.flood_pacing,
+                FragmentKind.FRAG1 if first else FragmentKind.FRAGN,
+                spec.attacker, len(body), tag, j // 8, body[j : j + MAX_FRAGMENT_PAYLOAD],
+                nonce if first else b"", rng.randbytes(8),
+            ))
         t += spec.flood_interval
     out.sort(key=lambda e: e.time)
     return out
@@ -210,20 +196,11 @@ def build_header_replay(spec, legit_sends, duration, rng):
         pool = [s for s in observed if s.time < t][-spec.replay_pool:]
         if pool:
             victim = pool[n % len(pool)]
-            out.append(
-                AttackEmission(
-                    time=t,
-                    kind=FragmentKind.FRAG1,
-                    claimed_source=victim.source,
-                    datagram_size=len(victim.payload),
-                    tag=victim.tag,
-                    payload=rng.randbytes(
-                        min(MAX_FRAGMENT_PAYLOAD, len(victim.payload))
-                    ),
-                    nonce=victim.nonce,
-                    replayed_payload=victim.payload[:MAX_FRAGMENT_PAYLOAD],
-                )
-            )
+            payload = rng.randbytes(min(MAX_FRAGMENT_PAYLOAD, len(victim.payload)))
+            out.append(AttackEmission(
+                t, FragmentKind.FRAG1, victim.source, len(victim.payload), victim.tag, 0,
+                payload, victim.nonce, bytes(8), victim.payload[:MAX_FRAGMENT_PAYLOAD],
+            ))
             n += 1
         t += spec.replay_interval
     return out
@@ -233,13 +210,15 @@ def build_burst_injection(spec, legit_sends, duration, rng):
     """Sustained stream of forged reservations at a fixed rate."""
     tags = _TagCounter()
     out = _warmup_emissions(spec, rng, tags, duration)
+    times = []
     n = 0
     while True:
         t = spec.start + n / spec.burst_rate
         if t >= duration:
             break
-        out.append(_forged_frag1(spec, rng, tags, t))
+        times.append(t)
         n += 1
+    out += _forged_frag1s(spec, rng, tags, times)
     return out
 
 
@@ -251,18 +230,12 @@ def build_late_phase(spec, legit_sends, duration, rng):
         if send.time < spec.start or send.time >= duration:
             continue
         for j in range(spec.late_orphans):
-            out.append(
-                AttackEmission(
-                    time=send.time + spec.late_lag + j * spec.late_spacing,
-                    kind=FragmentKind.FRAGN,
-                    claimed_source=spec.attacker,
-                    datagram_size=spec.forged_size,
-                    tag=tags.take(),
-                    offset=MAX_FRAGMENT_PAYLOAD // 8,
-                    payload=rng.randbytes(MAX_FRAGMENT_PAYLOAD),
-                    sig=rng.randbytes(8),
-                )
-            )
+            payload = rng.randbytes(MAX_FRAGMENT_PAYLOAD)
+            out.append(AttackEmission(
+                send.time + spec.late_lag + j * spec.late_spacing, FragmentKind.FRAGN,
+                spec.attacker, spec.forged_size, tags.take(), MAX_FRAGMENT_PAYLOAD // 8,
+                payload, b"", rng.randbytes(8),
+            ))
     out.sort(key=lambda e: e.time)
     return out
 

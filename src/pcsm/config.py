@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .attacks import ATTACK_KINDS, AttackSpec
-from .frag_codec import MAX_DATAGRAM_SIZE
+from .frag_codec import MAX_DATAGRAM_SIZE, MAX_FRAGMENT_PAYLOAD
 from .trust_engine import TrustParams
 
 STACKS = ("vanilla", "csm", "secupan", "pcsm")
@@ -179,8 +179,13 @@ def _parse_traffic(data) -> TrafficConfig:
 _ATTACK_INT_FIELDS = (
     "salvo_size", "late_orphans", "replay_pool", "warmup_bytes", "forged_size", "flood_bytes",
 )
-# datagram sizes: the header's size field is 11 bits wide
-_ATTACK_SIZE_FIELDS = ("warmup_bytes", "forged_size", "flood_bytes")
+# datagram sizes: the header's size field is 11 bits wide, and a warmup
+# datagram goes out as one first fragment, so it must fit one frame
+_ATTACK_SIZE_CAPS = {
+    "warmup_bytes": MAX_FRAGMENT_PAYLOAD,
+    "forged_size": MAX_DATAGRAM_SIZE,
+    "flood_bytes": MAX_DATAGRAM_SIZE,
+}
 _ATTACK_NUMBER_FIELDS = {
     f.name: f.default
     for f in fields(AttackSpec)
@@ -204,12 +209,17 @@ def _parse_attack(data, senders: int) -> AttackSpec | None:
     kwargs["attacker"] = _int(section, "attacker", "attack.", senders + 1, lo=1)
     for name in _ATTACK_INT_FIELDS:
         default = next(f.default for f in fields(AttackSpec) if f.name == name)
-        hi = MAX_DATAGRAM_SIZE if name in _ATTACK_SIZE_FIELDS else None
+        hi = _ATTACK_SIZE_CAPS.get(name)
         kwargs[name] = _int(section, name, "attack.", default, lo=1, hi=hi)
     for name, default in _ATTACK_NUMBER_FIELDS.items():
         positive = name in _ATTACK_POSITIVE_FIELDS
         kwargs[name] = _num(section, name, "attack.", default, lo=0.0, lo_open=positive)
     _reject_unknown(section, "attack")
+    if kind == "late_phase" and kwargs["forged_size"] <= MAX_FRAGMENT_PAYLOAD:
+        # every orphan sits at offset MAX_FRAGMENT_PAYLOAD, which must fall inside the datagram
+        raise ConfigInvalid(
+            "attack.forged_size", f"must be > {MAX_FRAGMENT_PAYLOAD} for late_phase"
+        )
     return AttackSpec(**kwargs)
 
 

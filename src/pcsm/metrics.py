@@ -103,36 +103,46 @@ class RunMetrics:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _drops_by_reason(records: list[FrameRecord]) -> dict[str, int]:
-    drops: dict[str, int] = {}
-    for rec in records:
-        if rec.disposition in DROP_DISPOSITIONS:
-            drops[rec.disposition] = drops.get(rec.disposition, 0) + 1
-    return drops
-
-
 def collect(result: RunResult) -> RunMetrics:
-    """Reduce one run's records to a RunMetrics."""
+    """Reduce one run's records to a RunMetrics, in one pass over them."""
     attacker = result.attacker
-    legit = [r for r in result.records if r.origin != attacker]
-    hostile = [r for r in result.records if attacker is not None and r.origin == attacker]
-
-    legit_drops = _drops_by_reason(legit)
-    hostile_drops = _drops_by_reason(hostile)
+    attack_start = result.attack_start
+    watch = attacker is not None and attack_start is not None
+    legit_drops: dict[str, int] = {}
+    hostile_drops: dict[str, int] = {}
+    # attacker arrivals from the attack start on, for detection_latency
+    arrivals: list[FrameRecord] = []
+    n_hostile = stray = 0
+    for rec in result.records:
+        disposition = rec.disposition
+        if rec.origin == attacker:
+            n_hostile += 1
+            drops = hostile_drops
+            if watch and rec.time >= attack_start:
+                arrivals.append(rec)
+        else:
+            drops = legit_drops
+        if disposition in DROP_DISPOSITIONS:
+            drops[disposition] = drops.get(disposition, 0) + 1
+        elif disposition not in FINAL_DISPOSITIONS:
+            stray += 1
+    n_legit = len(result.records) - n_hostile
 
     sent = sum(result.sent_datagrams.values())
-    delivered = sum(
-        1 for d in result.delivered if d.origin != attacker and d.intact
-    )
-    attacker_delivered = sum(1 for d in result.delivered if d.origin == attacker)
+    delivered = attacker_delivered = 0
+    for d in result.delivered:
+        if d.origin == attacker:
+            attacker_delivered += 1
+        elif d.intact:
+            delivered += 1
 
     n_legit_drops = sum(legit_drops.values())
     n_hostile_drops = sum(hostile_drops.values())
 
-    if attacker is not None and result.attack_start is not None:
-        det = detection_latency(result.records, attacker, result.attack_start)
+    if watch:
+        det = detection_latency(arrivals, attacker, attack_start)
         ident = (
-            result.identified_at - result.attack_start
+            result.identified_at - attack_start
             if result.identified_at is not None
             else None
         )
@@ -148,8 +158,6 @@ def collect(result: RunResult) -> RunMetrics:
         p for node, p in result.node_power_mw.items() if node != attacker
     ]
 
-    stray = sum(1 for r in result.records if r.disposition not in FINAL_DISPOSITIONS)
-
     return RunMetrics(
         name=result.name,
         stack=result.stack,
@@ -160,11 +168,11 @@ def collect(result: RunResult) -> RunMetrics:
         delivered_datagrams=delivered,
         pdr=compute_pdr(sent, delivered),
         received_fragments=len(result.records),
-        legit_fragments=len(legit),
+        legit_fragments=n_legit,
         legit_drops=n_legit_drops,
-        legit_drop_rate=100.0 * n_legit_drops / len(legit) if legit else 0.0,
+        legit_drop_rate=100.0 * n_legit_drops / n_legit if n_legit else 0.0,
         legit_drops_by_reason=dict(sorted(legit_drops.items())),
-        attacker_fragments=len(hostile),
+        attacker_fragments=n_hostile,
         attacker_drops=n_hostile_drops,
         attacker_drops_by_reason=dict(sorted(hostile_drops.items())),
         attacker_delivered_datagrams=attacker_delivered,

@@ -14,10 +14,15 @@ arrival time (legitimate fragments before adversary frames at equal
 times) and visited in one pass.  Housekeeping ticks fall on whole
 seconds, after any arrival at the same instant, and run only while the
 reassembly buffer holds an open session; on an empty buffer a tick
-changes nothing.  An adversary frame stays a bare schedule entry until
-it passes the radio prefilter, which sees only the link source and the
-dispatch kind; only then is it built into a fragment for the stack
-under test.
+changes nothing.
+
+Every arrival meets the radio prefilter first, which sees only the link
+source and the dispatch kind.  A frame the prefilter drops gets one
+record, final from the start ("untrusted", prefiltered), and costs
+nothing more.  Any other frame gets one record that the stack's outcome
+completes.  An adversary frame is a bare schedule entry up to this
+point and is built into a fragment for the stack under test only once
+it passes the prefilter.
 
 Randomness is split into named streams keyed by the run seed alone, so
 a seed fully determines the traffic, the adversary schedule, and the
@@ -99,7 +104,7 @@ class EnergyLedger:
         return VOLTAGE * ma_seconds / elapsed
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameRecord:
     """Terminal accounting entry for one fragment that reached the root."""
 
@@ -255,17 +260,25 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         rng_attack = random.Random(f"{seed}:attack")
         rng_chan = random.Random(f"{seed}:attack-channel")
         emissions = build_attack(cfg.attack, sends, cfg.duration, rng_attack)
+        sent_fragments[attacker] += len(emissions)
+        frag1 = FragmentKind.FRAG1
+        frag1_len = header_length(frag1, with_ext)
+        fragn_len = header_length(FragmentKind.FRAGN, with_ext)
+        draw = rng_chan.random
+        loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
+        make_frame, append = _Frame, arrivals.append
+        tx_s = ledgers[attacker].tx_s
         for em in emissions:
-            nbytes = header_length(em.kind, with_ext) + len(em.payload)
-            ledgers[attacker].tx_s += airtime(nbytes)
-            sent_fragments[attacker] += 1
-            lost = rng_chan.random() < cfg.channel.loss_rate
-            corrupt = rng_chan.random() < cfg.channel.corruption_rate
+            kind = em.kind
+            nbytes = (frag1_len if kind is frag1 else fragn_len) + len(em.payload)
+            tx_s += nbytes * 8 / BITRATE  # airtime(nbytes), inlined
+            lost = draw() < loss_rate
+            corrupt = draw() < corruption_rate
             if not lost:
-                arrivals.append(
-                    _Frame(em.time + PROPAGATION_DELAY, em.claimed_source, em.kind,
-                           attacker, nbytes, corrupt, em)
-                )
+                append(make_frame(em.time + PROPAGATION_DELAY, em.claimed_source, kind,
+                                  attacker, nbytes, corrupt, em))
+        ledgers[attacker].tx_s = tx_s
+        del emissions  # a frame holds its emission; lost ones can go now
 
     # stable, so equal arrival times keep legit-then-adversary emission order
     arrivals.sort(key=itemgetter(0))
@@ -275,7 +288,10 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
     identified_at: float | None = None
     root = ledgers[ROOT]
     buffer = stack.buffer
+    duration = cfg.duration
     next_tick = TICK_INTERVAL
+    record, add_record = FrameRecord, records.append
+    filter_frame, is_identified = stack.filter_frame, stack.is_identified
 
     def _mark(sessions, disposition):
         for session in sessions:
@@ -284,42 +300,47 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
 
     def _check_identified(now):
         nonlocal identified_at
-        if identified_at is None and attacker is not None and stack.is_identified(attacker, now):
+        if attacker is not None and is_identified(attacker, now):
             identified_at = now
 
     def _tick(now):
         _mark(stack.tick(now), "timeout")
-        _check_identified(now)
+        if identified_at is None:
+            _check_identified(now)
 
-    for frame in arrivals:
-        now = frame.arrival
+    # Visit the arrivals in order, releasing each frame once visited: a
+    # prefiltered frame then frees its frame and emission as it allocates
+    # its record, which keeps the garbage collector's young generation
+    # from filling up on the hostile traffic.
+    arrivals.reverse()
+    next_arrival = arrivals.pop
+    while arrivals:
+        now, source, kind, origin, nbytes, corrupt, frag = next_arrival()
         # ticks strictly before this arrival; on an empty buffer a tick
         # is a no-op, so skip to the first one not before it
-        while next_tick < now and next_tick <= cfg.duration:
+        while next_tick < now and next_tick <= duration:
             if not buffer.sessions:
                 next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
                 break
             _tick(next_tick)
             next_tick += TICK_INTERVAL
 
-        rec = FrameRecord(now, frame.source, frame.origin, frame.kind, "stored")
-        records.append(rec)
-
-        if stack.filter_frame(frame.source, frame.kind, now):
+        if filter_frame(source, kind, now):
             # address-filtered in the radio: no RX cost, no CPU
-            rec.disposition = "untrusted"
-            rec.prefiltered = True
-            _check_identified(now)
+            add_record(record(now, source, origin, kind, "untrusted", True))
+            if identified_at is None:
+                _check_identified(now)
             continue
 
-        frag = frame.wire
+        rec = record(now, source, origin, kind, "stored")
+        add_record(rec)
         if isinstance(frag, AttackEmission):
             frag = _materialize_emission(frag, cfg, with_ext, is_pcsm)
-        if frame.corrupt:
+        if corrupt:
             frag.payload = _corrupt_payload(frag.payload)
         frag.record = rec
 
-        root.rx_s += airtime(frame.bytes_on_air)
+        root.rx_s += airtime(nbytes)
         result = stack.admit(frag, now)
         root.cpu_ms += result.cpu_ms
 
@@ -330,14 +351,12 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
                 f.record.disposition = "delivered"
             src, tag = frag.source, frag.header.datagram_tag
             want = original_payload.get((src, tag))
-            delivered.append(
-                DeliveredRecord(now, src, frame.origin, tag, result.payload == want)
-            )
+            delivered.append(DeliveredRecord(now, src, origin, tag, result.payload == want))
         _mark(stack.drain_evictions(), "timeout")
-        if frame.origin == attacker:
+        if identified_at is None and origin == attacker:
             _check_identified(now)
 
-    while next_tick <= cfg.duration and buffer.sessions:
+    while next_tick <= duration and buffer.sessions:
         _tick(next_tick)
         next_tick += TICK_INTERVAL
 

@@ -88,6 +88,19 @@ class TrustEngine:
         st = self.states.get(node)
         return st is not None and st.blacklisted_until is not None and now < st.blacklisted_until
 
+    def blocked_contact(self, node: int, now: float) -> bool:
+        """is_blocked, plus note_blocked_contact when blocked, in one state lookup."""
+        st = self.states.get(node)
+        if st is None:
+            return False
+        until = st.blacklisted_until
+        if until is None or now >= until:
+            return False
+        proposed = now + self.params.block_duration
+        if proposed > until:
+            st.blacklisted_until = proposed
+        return True
+
     def note_blocked_contact(self, node: int, now: float) -> None:
         """A blocked source transmitted again: push its expiry forward."""
         st = self.state(node)
@@ -203,4 +216,7 @@ class ObservationTracker:
         Keeps blocked sources from laundering their inter-arrival
         statistics by probing during a block.
         """
-        self._track(source).last_frag1_time = now
+        tr = self.tracks.get(source)
+        if tr is None:
+            tr = self.tracks[source] = _SourceTrack()
+        tr.last_frag1_time = now

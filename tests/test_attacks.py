@@ -15,7 +15,7 @@ from pcsm.attacks import (
     build_early_frag1,
     build_header_replay,
     build_late_phase,
-    _forged_frag1,
+    _forged_frag1s,
     _TagCounter,
 )
 from pcsm.frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
@@ -179,8 +179,9 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
     spec = AttackSpec("burst_injection")
     rng, twin = random.Random(11), random.Random(11)
     tags = _TagCounter()
-    for k in range(50):
-        em = _forged_frag1(spec, rng, tags, float(k))
+    ems = _forged_frag1s(spec, rng, tags, [float(k) for k in range(50)])
+    assert [em.time for em in ems] == [float(k) for k in range(50)]
+    for em in ems:
         assert em.payload == twin.randbytes(MAX_FRAGMENT_PAYLOAD)
         assert em.nonce == twin.randbytes(4)
         assert em.sig == twin.randbytes(8)
@@ -188,6 +189,15 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
 
 
 def test_emissions_are_immutable():
-    em = _forged_frag1(AttackSpec("burst_injection"), random.Random(1), _TagCounter(), 0.0)
+    [em] = _forged_frag1s(AttackSpec("burst_injection"), random.Random(1), _TagCounter(), [0.0])
     with pytest.raises(AttributeError):
         em.time = 1.0
+
+
+def test_forged_tags_wrap_back_to_the_forged_range_like_take():
+    counter, twin = _TagCounter(0xFFFE), _TagCounter(0xFFFE)
+    ems = _forged_frag1s(AttackSpec("burst_injection"), random.Random(2), counter, [0.0] * 4)
+    assert [em.tag for em in ems] == [twin.take() for _ in range(4)] == [
+        0xFFFE, 0xFFFF, 0x8000, 0x8001,
+    ]
+    assert counter.next_tag == twin.next_tag == 0x8002

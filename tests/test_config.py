@@ -87,6 +87,9 @@ def test_attack_none_token():
         ({"attack": {"kind": "complete_flooding", "flood_bytes": 5000}}, "attack.flood_bytes"),
         ({"attack": {"kind": "burst_injection", "forged_size": 2048}}, "attack.forged_size"),
         ({"attack": {"kind": "early_frag1", "warmup_bytes": 2048}}, "attack.warmup_bytes"),
+        ({"attack": {"kind": "early_frag1", "warmup_bytes": 97}}, "attack.warmup_bytes"),
+        ({"attack": {"kind": "late_phase", "forged_size": 96}}, "attack.forged_size"),
+        ({"attack": {"kind": "late_phase", "forged_size": 50}}, "attack.forged_size"),
     ],
 )
 def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):
@@ -96,6 +99,19 @@ def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):
         parse_config(data)
     assert err.value.field == wanted_field
     assert str(err.value).startswith(wanted_field + ":")
+
+
+def test_attack_size_limits_accept_values_at_their_edges():
+    early = parse_config({"name": "x", "stack": "pcsm",
+                          "attack": {"kind": "early_frag1", "warmup_bytes": 96}})
+    assert early.attack.warmup_bytes == 96
+    late = parse_config({"name": "x", "stack": "pcsm",
+                         "attack": {"kind": "late_phase", "forged_size": 97}})
+    assert late.attack.forged_size == 97
+    # the floor on forged_size is late_phase's alone
+    burst = parse_config({"name": "x", "stack": "pcsm",
+                          "attack": {"kind": "burst_injection", "forged_size": 50}})
+    assert burst.attack.forged_size == 50
 
 
 def test_all_stack_tokens_accepted():

@@ -245,3 +245,51 @@ def test_cpu_charges_reflect_hash_operations():
     assert stack.admit(frags[1], 100.1).cpu_ms == 0.5  # verify
     orphan = stack.admit(_orphan_fragn(5, 500), 100.2)
     assert orphan.cpu_ms == 0.0  # dropped before crypto
+
+
+def _blocked_stack(source, until):
+    stack = _stack()
+    stack.engine.state(source).blacklisted_until = until
+    return stack
+
+
+def test_prefiltered_frag1_pushes_expiry_and_touches_timing_track():
+    stack = _blocked_stack(9, 200.0)
+    # now + block_duration (60 s) falls before the current expiry: left alone
+    assert stack.filter_frame(9, FragmentKind.FRAG1, 120.0)
+    assert stack.engine.state(9).blacklisted_until == 200.0
+    assert stack.tracker.tracks[9].last_frag1_time == 120.0
+    # now + block_duration is later: the expiry moves to it
+    assert stack.filter_frame(9, FragmentKind.FRAG1, 150.0)
+    assert stack.engine.state(9).blacklisted_until == 210.0
+    assert stack.tracker.tracks[9].last_frag1_time == 150.0
+
+
+def test_prefiltered_fragn_pushes_expiry_but_leaves_timing_track():
+    stack = _blocked_stack(9, 200.0)
+    stack.tracker.observe_frag1(9, 1, 100.0)
+    assert stack.filter_frame(9, FragmentKind.FRAGN, 170.0)
+    assert stack.engine.state(9).blacklisted_until == 230.0
+    assert stack.tracker.tracks[9].last_frag1_time == 100.0
+    fresh = _blocked_stack(8, 200.0)
+    assert fresh.filter_frame(8, FragmentKind.FRAGN, 170.0)
+    assert 8 not in fresh.tracker.tracks
+
+
+def test_prefilter_passes_unknown_and_unblocked_sources_without_state():
+    stack = _stack()
+    for kind in FragmentKind:
+        assert not stack.filter_frame(5, kind, 100.0)
+    assert stack.engine.states == {} and stack.tracker.tracks == {}
+    lapsed = _blocked_stack(9, 200.0)
+    for kind in FragmentKind:
+        # the block has lapsed at its expiry instant, and a passed frame
+        # neither moves the expiry nor opens a timing track
+        assert not lapsed.filter_frame(9, kind, 200.0)
+    assert lapsed.engine.state(9).blacklisted_until == 200.0
+    assert lapsed.tracker.tracks == {}
+    idle = _stack()
+    idle.engine.state(4)
+    assert not idle.filter_frame(4, FragmentKind.FRAG1, 100.0)
+    assert idle.engine.states[4].blacklisted_until is None
+    assert idle.tracker.tracks == {}

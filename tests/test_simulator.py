@@ -143,9 +143,10 @@ def test_every_record_reaches_a_terminal_state(stack, kind):
 @pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
 def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
     # 2047 fills the 11-bit size field; a flood that long still ends at
-    # an offset that fits the 8-bit offset field
+    # an offset that fits the 8-bit offset field.  A warmup datagram is one
+    # first fragment, so 96 bytes is the most it can carry.
     attack = {"kind": "complete_flooding", "start": 900.0, "flood_bytes": 2047,
-              "forged_size": 2047, "warmup_bytes": 2047}
+              "forged_size": 2047, "warmup_bytes": 96}
     cfg = parse_config({"stack": stack, "duration": 960.0, "attack": attack}, default_name="t")
     assert collect(simulate(cfg, seed=1)).conservation_ok
 
