@@ -100,9 +100,18 @@ class _TagCounter:
     def __init__(self, base: int = _FORGED_TAG_BASE):
         self.next_tag = base
 
-    def take(self) -> int:
+    def take_n(self, n: int) -> list[int]:
+        """The next n tags, wrapping back into the forged range."""
+        tags = []
         tag = self.next_tag
-        self.next_tag = (self.next_tag + 1) % 0x10000 or _FORGED_TAG_BASE
+        for _ in range(n):
+            tags.append(tag)
+            tag = (tag + 1) % 0x10000 or _FORGED_TAG_BASE
+        self.next_tag = tag
+        return tags
+
+    def take(self) -> int:
+        [tag] = self.take_n(1)
         return tag
 
 
@@ -129,15 +138,12 @@ def _forged_frag1s(spec: AttackSpec, rng, tags: _TagCounter, times) -> list[Atta
     # number of 32-bit words, so this is the stream three randbytes calls give.
     draw = rng.getrandbits
     frag1, attacker, size = FragmentKind.FRAG1, spec.attacker, spec.forged_size
-    tag = tags.next_tag
     out = []
-    for when in times:
+    for when, tag in zip(times, tags.take_n(len(times))):
         blob = draw(8 * _FORGED_BYTES).to_bytes(_FORGED_BYTES, "little")
         out.append(AttackEmission(when, frag1, attacker, size, tag, 0,
                                   blob[:MAX_FRAGMENT_PAYLOAD], blob[MAX_FRAGMENT_PAYLOAD:-8],
                                   blob[-8:]))
-        tag = (tag + 1) % 0x10000 or _FORGED_TAG_BASE  # as _TagCounter.take
-    tags.next_tag = tag
     return out
 
 
@@ -229,11 +235,11 @@ def build_late_phase(spec, legit_sends, duration, rng):
     for send in legit_sends:
         if send.time < spec.start or send.time >= duration:
             continue
-        for j in range(spec.late_orphans):
+        for j, tag in enumerate(tags.take_n(spec.late_orphans)):
             payload = rng.randbytes(MAX_FRAGMENT_PAYLOAD)
             out.append(AttackEmission(
                 send.time + spec.late_lag + j * spec.late_spacing, FragmentKind.FRAGN,
-                spec.attacker, spec.forged_size, tags.take(), MAX_FRAGMENT_PAYLOAD // 8,
+                spec.attacker, spec.forged_size, tag, MAX_FRAGMENT_PAYLOAD // 8,
                 payload, b"", rng.randbytes(8),
             ))
     out.sort(key=lambda e: e.time)

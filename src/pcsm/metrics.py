@@ -46,7 +46,8 @@ def detection_latency(
     a security gate.  Returns the gap between the first arrival and
     that point, 0.0 when nothing ever got through, and None when the
     run ended with hostile traffic still being admitted (or when the
-    attacker never transmitted).
+    attacker never transmitted).  The filter is idempotent, so a caller
+    may pass records already narrowed to those arrivals, as collect() does.
     """
     arrivals = sorted(
         (r for r in records if r.origin == attacker and r.time >= attack_start),
@@ -110,7 +111,7 @@ def collect(result: RunResult) -> RunMetrics:
     watch = attacker is not None and attack_start is not None
     legit_drops: dict[str, int] = {}
     hostile_drops: dict[str, int] = {}
-    # attacker arrivals from the attack start on, for detection_latency
+    # attacker arrivals from the attack start on, pre-filtered for detection_latency
     arrivals: list[FrameRecord] = []
     n_hostile = stray = 0
     for rec in result.records:

@@ -378,7 +378,7 @@ class PredictiveCsmStack(ReceiverStack):
         the stack proper (no RX or CPU cost for the receiver), but the
         contact still refreshes the block and the source's timing track.
         """
-        if not self.engine.blocked_contact(source, now):
+        if not self.engine.note_blocked_contact(source, now):
             return False
         if kind is FragmentKind.FRAG1:
             self.tracker.touch(source, now)

@@ -271,7 +271,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         for em in emissions:
             kind = em.kind
             nbytes = (frag1_len if kind is frag1 else fragn_len) + len(em.payload)
-            tx_s += nbytes * 8 / BITRATE  # airtime(nbytes), inlined
+            tx_s += airtime(nbytes)
             lost = draw() < loss_rate
             corrupt = draw() < corruption_rate
             if not lost:

@@ -88,8 +88,12 @@ class TrustEngine:
         st = self.states.get(node)
         return st is not None and st.blacklisted_until is not None and now < st.blacklisted_until
 
-    def blocked_contact(self, node: int, now: float) -> bool:
-        """is_blocked, plus note_blocked_contact when blocked, in one state lookup."""
+    def note_blocked_contact(self, node: int, now: float) -> bool:
+        """A source transmitted: if it is blocked, push its expiry forward.
+
+        Returns whether the source is blocked (as is_blocked), from one
+        state lookup; an unknown or unblocked source is left untouched.
+        """
         st = self.states.get(node)
         if st is None:
             return False
@@ -100,12 +104,6 @@ class TrustEngine:
         if proposed > until:
             st.blacklisted_until = proposed
         return True
-
-    def note_blocked_contact(self, node: int, now: float) -> None:
-        """A blocked source transmitted again: push its expiry forward."""
-        st = self.state(node)
-        if st.blacklisted_until is not None:
-            st.blacklisted_until = max(st.blacklisted_until, now + self.params.block_duration)
 
     def update(self, node: int, outcome: int, now: float) -> TrustState:
         st = self.state(node)
@@ -216,7 +214,4 @@ class ObservationTracker:
         Keeps blocked sources from laundering their inter-arrival
         statistics by probing during a block.
         """
-        tr = self.tracks.get(source)
-        if tr is None:
-            tr = self.tracks[source] = _SourceTrack()
-        tr.last_frag1_time = now
+        self._track(source).last_frag1_time = now
