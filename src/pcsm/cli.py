@@ -31,6 +31,7 @@ from .config import (
     SENSITIVITY_LAMBDAS,
     SENSITIVITY_THETAS,
     STACKS,
+    BufferConfig,
     ConfigInvalid,
     load_config,
 )
@@ -38,6 +39,7 @@ from .frag_codec import ExtensionFields, FragmentHeader, FragmentKind, encode_he
 from .hash_chain import reference_vectors
 from .metrics import RunMetrics, aggregate, collect, render_table
 from .simulator import simulate
+from .trust_engine import TrustParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -362,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="legitimate fragment arrivals per second")
     p_ana.add_argument("--attack-rate", type=float, default=0.0,
                        help="hostile fragment arrivals per second")
-    p_ana.add_argument("--slots", type=int, default=2)
-    p_ana.add_argument("--timeout", type=float, default=10.0)
+    p_ana.add_argument("--slots", type=int, default=BufferConfig.slots)
+    p_ana.add_argument("--timeout", type=float, default=BufferConfig.timeout)
     p_ana.add_argument("--trust-start", type=float, default=0.8)
-    p_ana.add_argument("--forgetting", type=float, default=0.9)
-    p_ana.add_argument("--threshold", type=float, default=0.3)
+    p_ana.add_argument("--forgetting", type=float, default=TrustParams.forgetting_factor)
+    p_ana.add_argument("--threshold", type=float, default=TrustParams.threshold)
     p_ana.set_defaults(func=cmd_analytic)
 
     p_vec = sub.add_parser("vectors", help="dump golden test vectors as JSON")

@@ -10,7 +10,7 @@ verbatim before exiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 import yaml
 
@@ -45,16 +45,6 @@ class BufferConfig:
 
 
 @dataclass(frozen=True)
-class TrustConfig:
-    forgetting_factor: float = 0.9
-    threshold: float = 0.3
-    anomaly_threshold: float = 2.0
-    history_alpha: float = 0.2
-    block_duration: float = 60.0
-    initial_score: float = 0.5
-
-
-@dataclass(frozen=True)
 class TrafficConfig:
     payload_bytes: int = 288
     send_interval: float = 90.0
@@ -72,20 +62,9 @@ class ScenarioConfig:
     key: bytes = b"shared-group-key"
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     buffer: BufferConfig = field(default_factory=BufferConfig)
-    trust: TrustConfig = field(default_factory=TrustConfig)
+    trust: TrustParams = field(default_factory=TrustParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     attack: AttackSpec | None = None
-
-    def trust_params(self) -> TrustParams:
-        return TrustParams(
-            forgetting_factor=self.trust.forgetting_factor,
-            threshold=self.trust.threshold,
-            anomaly_threshold=self.trust.anomaly_threshold,
-            history_alpha=self.trust.history_alpha,
-            block_duration=self.trust.block_duration,
-            initial_score=self.trust.initial_score,
-            nominal_interval=self.traffic.send_interval,
-        )
 
 
 def _require_map(value, path):
@@ -125,74 +104,56 @@ def _int(section, key, path, default, *, lo=None, hi=None):
     return value
 
 
-def _parse_channel(data) -> ChannelConfig:
-    section = _require_map(data, "channel")
-    cfg = ChannelConfig(
-        loss_rate=_num(section, "loss_rate", "channel.", 0.005, lo=0.0, hi=1.0),
-        corruption_rate=_num(
-            section, "corruption_rate", "channel.", 0.0, lo=0.0, hi=1.0
-        ),
-    )
-    _reject_unknown(section, "channel")
-    return cfg
-
-
-def _parse_buffer(data) -> BufferConfig:
-    section = _require_map(data, "buffer")
-    cfg = BufferConfig(
-        slots=_int(section, "slots", "buffer.", 2, lo=1),
-        timeout=_num(section, "timeout", "buffer.", 10.0, lo=0.0, lo_open=True),
-    )
-    _reject_unknown(section, "buffer")
-    return cfg
-
-
-def _parse_trust(data) -> TrustConfig:
-    section = _require_map(data, "trust")
-    cfg = TrustConfig(
-        forgetting_factor=_num(
-            section, "lambda", "trust.", 0.9, lo=0.0, hi=1.0, lo_open=True, hi_open=True
-        ),
-        threshold=_num(section, "theta", "trust.", 0.3, lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-        anomaly_threshold=_num(section, "anomaly_threshold", "trust.", 2.0, lo=0.0, lo_open=True),
-        history_alpha=_num(section, "history_alpha", "trust.", 0.2, lo=0.0, hi=1.0, hi_open=True),
-        block_duration=_num(section, "block_duration", "trust.", 60.0, lo=0.0, lo_open=True),
-        initial_score=_num(section, "initial_score", "trust.", 0.5, lo=0.0, hi=1.0),
-    )
-    _reject_unknown(section, "trust")
-    return cfg
-
-
-def _parse_traffic(data) -> TrafficConfig:
-    section = _require_map(data, "traffic")
-    cfg = TrafficConfig(
-        payload_bytes=_int(section, "payload_bytes", "traffic.", 288, lo=1, hi=2047),
-        send_interval=_num(section, "send_interval", "traffic.", 90.0, lo=0.0, lo_open=True),
-        phase_base=_num(section, "phase_base", "traffic.", 50.0, lo=0.0),
-        phase_step=_num(section, "phase_step", "traffic.", 11.25, lo=0.0),
-        pacing=_num(section, "pacing", "traffic.", 0.1, lo=0.0),
-    )
-    _reject_unknown(section, "traffic")
-    return cfg
-
-
-_ATTACK_INT_FIELDS = (
-    "salvo_size", "late_orphans", "replay_pool", "warmup_bytes", "forged_size", "flood_bytes",
-)
-# datagram sizes: the header's size field is 11 bits wide, and a warmup
-# datagram goes out as one first fragment, so it must fit one frame
-_ATTACK_SIZE_CAPS = {
-    "warmup_bytes": MAX_FRAGMENT_PAYLOAD,
-    "forged_size": MAX_DATAGRAM_SIZE,
-    "flood_bytes": MAX_DATAGRAM_SIZE,
+# Bounds per field, shared by every section; a field not listed takes
+# the lower bound of its type, 1 for an integer and 0.0 for a number.
+_UNIT = {"lo": 0.0, "hi": 1.0}
+_OPEN_UNIT = {"lo": 0.0, "hi": 1.0, "lo_open": True, "hi_open": True}
+_POSITIVE = {"lo": 0.0, "lo_open": True}
+_BOUNDS = {
+    "loss_rate": _UNIT,
+    "corruption_rate": _UNIT,
+    "timeout": _POSITIVE,
+    "forgetting_factor": _OPEN_UNIT,
+    "threshold": _OPEN_UNIT,
+    "anomaly_threshold": _POSITIVE,
+    "history_alpha": {"lo": 0.0, "hi": 1.0, "hi_open": True},
+    "block_duration": _POSITIVE,
+    "initial_score": _UNIT,
+    "send_interval": _POSITIVE,
+    # baselines.fragment_mac packs the source as a signed 32-bit field
+    "attacker": {"hi": 2**31 - 1},
+    # datagram sizes: the header's size field is 11 bits wide, and a warmup
+    # datagram goes out as one first fragment, so it must fit one frame
+    "payload_bytes": {"hi": MAX_DATAGRAM_SIZE},
+    "forged_size": {"hi": MAX_DATAGRAM_SIZE},
+    "flood_bytes": {"hi": MAX_DATAGRAM_SIZE},
+    "warmup_bytes": {"hi": MAX_FRAGMENT_PAYLOAD},
+    # the attack builders step their clocks by these; zero would never advance
+    "warmup_interval": _POSITIVE,
+    "flood_interval": _POSITIVE,
+    "replay_interval": _POSITIVE,
+    "burst_rate": _POSITIVE,
 }
-_ATTACK_NUMBER_FIELDS = {
-    f.name: f.default
-    for f in fields(AttackSpec)
-    if f.name not in ("kind", "attacker") + _ATTACK_INT_FIELDS
-}
-# the builders step their clocks by these; zero would never advance
-_ATTACK_POSITIVE_FIELDS = ("warmup_interval", "flood_interval", "replay_interval", "burst_rate")
+# YAML keys that differ from the field they set
+_YAML_KEYS = {"forgetting_factor": "lambda", "threshold": "theta"}
+_TOP_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
+
+
+def _parse_field(section: dict, f: Field, prefix: str):
+    """Pop one field's YAML key from section, defaulting and bounding it per f."""
+    parse, lo = (_int, 1) if f.type == "int" else (_num, 0.0)
+    key = _YAML_KEYS.get(f.name, f.name)
+    return parse(section, key, prefix, f.default, **{"lo": lo, **_BOUNDS.get(f.name, {})})
+
+
+def _parse_section(cls, data, path: str, **given):
+    """Build cls from one YAML mapping; fields in given are taken as they are."""
+    section = _require_map(data, path)
+    values = {
+        f.name: _parse_field(section, f, path + ".") for f in fields(cls) if f.name not in given
+    }
+    _reject_unknown(section, path)
+    return cls(**given, **values)
 
 
 def _parse_attack(data, senders: int) -> AttackSpec | None:
@@ -205,22 +166,15 @@ def _parse_attack(data, senders: int) -> AttackSpec | None:
         raise ConfigInvalid(
             "attack.kind", f"must be one of none, {', '.join(ATTACK_KINDS)}"
         )
-    kwargs = {"kind": kind}
-    kwargs["attacker"] = _int(section, "attacker", "attack.", senders + 1, lo=1)
-    for name in _ATTACK_INT_FIELDS:
-        default = next(f.default for f in fields(AttackSpec) if f.name == name)
-        hi = _ATTACK_SIZE_CAPS.get(name)
-        kwargs[name] = _int(section, name, "attack.", default, lo=1, hi=hi)
-    for name, default in _ATTACK_NUMBER_FIELDS.items():
-        positive = name in _ATTACK_POSITIVE_FIELDS
-        kwargs[name] = _num(section, name, "attack.", default, lo=0.0, lo_open=positive)
-    _reject_unknown(section, "attack")
-    if kind == "late_phase" and kwargs["forged_size"] <= MAX_FRAGMENT_PAYLOAD:
+    # the attacker takes the first id past the senders unless told otherwise
+    section.setdefault("attacker", senders + 1)
+    spec = _parse_section(AttackSpec, section, "attack", kind=kind)
+    if kind == "late_phase" and spec.forged_size <= MAX_FRAGMENT_PAYLOAD:
         # every orphan sits at offset MAX_FRAGMENT_PAYLOAD, which must fall inside the datagram
         raise ConfigInvalid(
             "attack.forged_size", f"must be > {MAX_FRAGMENT_PAYLOAD} for late_phase"
         )
-    return AttackSpec(**kwargs)
+    return spec
 
 
 def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
@@ -232,9 +186,9 @@ def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
     stack = top.pop("stack", None)
     if stack not in STACKS:
         raise ConfigInvalid("stack", f"must be one of {', '.join(STACKS)}")
-    duration = _num(top, "duration", "", 1800.0, lo=0.0)
-    senders = _int(top, "senders", "", 8, lo=1)
-    key = top.pop("key", "shared-group-key")
+    duration = _parse_field(top, _TOP_FIELDS["duration"], "")
+    senders = _parse_field(top, _TOP_FIELDS["senders"], "")
+    key = top.pop("key", ScenarioConfig.key.decode())
     if not isinstance(key, str) or not key:
         raise ConfigInvalid("key", "expected a non-empty string")
     cfg = ScenarioConfig(
@@ -243,10 +197,10 @@ def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
         duration=duration,
         senders=senders,
         key=key.encode(),
-        channel=_parse_channel(top.pop("channel", None)),
-        buffer=_parse_buffer(top.pop("buffer", None)),
-        trust=_parse_trust(top.pop("trust", None)),
-        traffic=_parse_traffic(top.pop("traffic", None)),
+        channel=_parse_section(ChannelConfig, top.pop("channel", None), "channel"),
+        buffer=_parse_section(BufferConfig, top.pop("buffer", None), "buffer"),
+        trust=_parse_section(TrustParams, top.pop("trust", None), "trust"),
+        traffic=_parse_section(TrafficConfig, top.pop("traffic", None), "traffic"),
         attack=_parse_attack(top.pop("attack", None), senders=senders),
     )
     _reject_unknown(top, "")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
 
 TAG_LEN = 8
-DEFAULT_ALGORITHM = "sha1"
+_ALGORITHM = "sha1"
 
 
 class EmptyKey(ValueError):
@@ -37,21 +37,18 @@ class HashChainState:
     key: bytes
     prev_hash: bytes
     nonce: bytes
-    algorithm: str = DEFAULT_ALGORITHM
 
 
-def _digest(key: bytes, data: bytes, algorithm: str) -> bytes:
-    return hmac.new(key, data, algorithm).digest()
+def _digest(key: bytes, data: bytes) -> bytes:
+    return hmac.new(key, data, _ALGORITHM).digest()
 
 
-def seed_chain(
-    key: bytes, payload_frag1: bytes, nonce: bytes, algorithm: str = DEFAULT_ALGORITHM
-) -> HashChainState:
+def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes) -> HashChainState:
     """Start a chain from the first fragment's payload and a nonce."""
     if not key:
         raise EmptyKey("chain key must be non-empty")
-    h0 = _digest(key, payload_frag1 + nonce, algorithm)
-    return HashChainState(key, h0, nonce, algorithm)
+    h0 = _digest(key, payload_frag1 + nonce)
+    return HashChainState(key, h0, nonce)
 
 
 def chain_tag(state: HashChainState) -> bytes:
@@ -61,8 +58,8 @@ def chain_tag(state: HashChainState) -> bytes:
 
 def next_hash(state: HashChainState, payload: bytes) -> tuple[HashChainState, bytes]:
     """Advance the chain over one payload, returning the new wire tag."""
-    digest = _digest(state.key, state.prev_hash + payload, state.algorithm)
-    advanced = HashChainState(state.key, digest, state.nonce, state.algorithm)
+    digest = _digest(state.key, state.prev_hash + payload)
+    advanced = HashChainState(state.key, digest, state.nonce)
     return advanced, digest[:TAG_LEN]
 
 
@@ -81,11 +78,7 @@ def validate_fragment(
 
 
 def sign_fragments(
-    key: bytes,
-    fragments: list[Fragment],
-    nonce: bytes,
-    trust_byte: int = 255,
-    algorithm: str = DEFAULT_ALGORITHM,
+    key: bytes, fragments: list[Fragment], nonce: bytes, trust_byte: int = 255
 ) -> list[Fragment]:
     """Stamp extension fields onto a fragment train, in place.
 
@@ -95,7 +88,7 @@ def sign_fragments(
     """
     if not fragments or fragments[0].header.kind is not FragmentKind.FRAG1:
         raise ValueError("fragment train must start with a Frag1")
-    state = seed_chain(key, fragments[0].payload, nonce, algorithm)
+    state = seed_chain(key, fragments[0].payload, nonce)
     first = fragments[0]
     first.header = replace_ext(first.header, ExtensionFields(trust_byte, nonce, chain_tag(state)))
     for frag in fragments[1:]:

@@ -212,9 +212,9 @@ class ReceiverStack:
         """Radio-level filter on link source and dispatch kind: True drops the frame."""
         return False
 
-    def is_identified(self, source: int, now: float) -> bool:
-        """True while the stack holds source identified as hostile."""
-        return False
+    def identified_at(self, source: int) -> float | None:
+        """When the stack first identified source as hostile, if it has."""
+        return None
 
     def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
         return False
@@ -353,7 +353,8 @@ class PredictiveCsmStack(ReceiverStack):
     def __init__(
         self,
         key: bytes,
-        trust_params: TrustParams | None = None,
+        trust: TrustParams | None = None,
+        nominal_interval: float = 90.0,
         slots: int = 2,
         timeout: float = 10.0,
         replay_horizon: float = 60.0,
@@ -362,9 +363,8 @@ class PredictiveCsmStack(ReceiverStack):
     ):
         super().__init__(slots, timeout)
         self.key = key
-        params = trust_params or TrustParams()
-        self.engine = TrustEngine(params, keep_history=keep_trust_history)
-        self.tracker = ObservationTracker(params.nominal_interval)
+        self.engine = TrustEngine(trust, nominal_interval, keep_trust_history)
+        self.tracker = ObservationTracker(nominal_interval)
         self.ledger = ReplayLedger(replay_horizon, replay_capacity)
         self.block_events = self.engine.block_events
         self.trust_history = self.engine.history
@@ -384,8 +384,8 @@ class PredictiveCsmStack(ReceiverStack):
             self.tracker.touch(source, now)
         return True
 
-    def is_identified(self, source: int, now: float) -> bool:
-        return self.engine.is_blocked(source, now)
+    def identified_at(self, source: int) -> float | None:
+        return self.engine.first_blocked.get(source)
 
     def _purge_if_blocked(self, source: int, now: float) -> None:
         if self.engine.is_blocked(source, now):

@@ -171,7 +171,7 @@ def _build_stack(cfg: ScenarioConfig, trace: bool):
     slots, timeout = cfg.buffer.slots, cfg.buffer.timeout
     if cfg.stack == "pcsm":
         return PredictiveCsmStack(
-            cfg.key, cfg.trust_params(), slots=slots, timeout=timeout,
+            cfg.key, cfg.trust, cfg.traffic.send_interval, slots=slots, timeout=timeout,
             keep_trust_history=trace,
         )
     if cfg.stack == "vanilla":
@@ -201,7 +201,7 @@ def _legit_schedule(cfg: ScenarioConfig, seed: int) -> list[ScheduledSend]:
                 rng_loss.random() < cfg.channel.loss_rate for _ in range(frags_per)
             )
             sends.append(ScheduledSend(t, src, tag, nonce, payload, lost))
-            tag += 1
+            tag = (tag + 1) % 0x10000
             t += tr.send_interval
     sends.sort(key=lambda s: s.time)
     return sends
@@ -224,7 +224,10 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
 
     sent_datagrams: dict[int, int] = {src: 0 for src in range(1, cfg.senders + 1)}
     sent_fragments: dict[int, int] = {node: 0 for node in nodes if node != ROOT}
+    # filled as the run reaches each send: tags wrap, so one (source, tag)
+    # can name several datagrams, and the one delivered is the latest so far
     original_payload: dict[tuple[int, int], bytes] = {}
+    unreached = sends[::-1]
 
     arrivals: list[_Frame] = []
 
@@ -236,7 +239,6 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         elif cfg.stack == "secupan":
             mac_sign_fragments(cfg.key, frags, send.nonce, send.source)
         sent_datagrams[send.source] += 1
-        original_payload[(send.source, send.tag)] = send.payload
         for j, frag in enumerate(frags):
             frag.source = send.source
             emit = send.time + j * cfg.traffic.pacing
@@ -285,28 +287,17 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
 
     records: list[FrameRecord] = []
     delivered: list[DeliveredRecord] = []
-    identified_at: float | None = None
     root = ledgers[ROOT]
     buffer = stack.buffer
     duration = cfg.duration
     next_tick = TICK_INTERVAL
     record, add_record = FrameRecord, records.append
-    filter_frame, is_identified = stack.filter_frame, stack.is_identified
+    filter_frame = stack.filter_frame
 
     def _mark(sessions, disposition):
         for session in sessions:
             for frag in session.fragments:
                 frag.record.disposition = disposition
-
-    def _check_identified(now):
-        nonlocal identified_at
-        if attacker is not None and is_identified(attacker, now):
-            identified_at = now
-
-    def _tick(now):
-        _mark(stack.tick(now), "timeout")
-        if identified_at is None:
-            _check_identified(now)
 
     # Visit the arrivals in order, releasing each frame once visited: a
     # prefiltered frame then frees its frame and emission as it allocates
@@ -322,14 +313,12 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
             if not buffer.sessions:
                 next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
                 break
-            _tick(next_tick)
+            _mark(stack.tick(next_tick), "timeout")
             next_tick += TICK_INTERVAL
 
         if filter_frame(source, kind, now):
             # address-filtered in the radio: no RX cost, no CPU
             add_record(record(now, source, origin, kind, "untrusted", True))
-            if identified_at is None:
-                _check_identified(now)
             continue
 
         rec = record(now, source, origin, kind, "stored")
@@ -349,17 +338,20 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         elif result.status is AdmitStatus.DELIVERED:
             for f in result.fragments:
                 f.record.disposition = "delivered"
+            while unreached and unreached[-1].time <= now:
+                send = unreached.pop()
+                original_payload[(send.source, send.tag)] = send.payload
             src, tag = frag.source, frag.header.datagram_tag
             want = original_payload.get((src, tag))
             delivered.append(DeliveredRecord(now, src, origin, tag, result.payload == want))
         _mark(stack.drain_evictions(), "timeout")
-        if identified_at is None and origin == attacker:
-            _check_identified(now)
 
     while next_tick <= duration and buffer.sessions:
-        _tick(next_tick)
+        _mark(stack.tick(next_tick), "timeout")
         next_tick += TICK_INTERVAL
 
+    # read before flush: a block that only starts at the end of the run is no identification
+    identified_at = stack.identified_at(attacker) if attacker is not None else None
     _mark(stack.flush(cfg.duration), "buffered")
 
     return RunResult(

@@ -25,18 +25,18 @@ from dataclasses import dataclass, field
 # Arrival rate is derived as 1 / inter-arrival; this floor keeps it
 # finite when two first-fragments land in the same instant.
 _MIN_INTER_ARRIVAL = 1e-3
+# Keeps the relative deviations finite against a zero baseline.
+_EPSILON = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrustParams:
     forgetting_factor: float = 0.9
     threshold: float = 0.3
     anomaly_threshold: float = 2.0
-    epsilon: float = 1e-6
     history_alpha: float = 0.2
     block_duration: float = 60.0
     initial_score: float = 0.5
-    nominal_interval: float = 90.0
 
 
 @dataclass
@@ -66,20 +66,27 @@ def update_score(score: float, forgetting_factor: float, outcome: int) -> float:
 class TrustEngine:
     """Owns per-neighbor trust state for one receiving node."""
 
-    def __init__(self, params: TrustParams | None = None, keep_history: bool = False):
+    def __init__(
+        self,
+        params: TrustParams | None = None,
+        nominal_interval: float = 90.0,
+        keep_history: bool = False,
+    ):
         self.params = params or TrustParams()
+        self.nominal_interval = nominal_interval
         self.states: dict[int, TrustState] = {}
         self.block_events: dict[int, int] = {}
+        # per-node time of the first transition into the blocked state
+        self.first_blocked: dict[int, float] = {}
         self.history: list[tuple[float, int, float]] | None = [] if keep_history else None
 
     def state(self, node: int) -> TrustState:
         st = self.states.get(node)
         if st is None:
-            p = self.params
             st = TrustState(
-                score=p.initial_score,
-                ewma_inter_arrival=p.nominal_interval,
-                ewma_rate=1.0 / p.nominal_interval,
+                score=self.params.initial_score,
+                ewma_inter_arrival=self.nominal_interval,
+                ewma_rate=1.0 / self.nominal_interval,
             )
             self.states[node] = st
         return st
@@ -117,6 +124,7 @@ class TrustEngine:
             proposed = now + p.block_duration
             if st.blacklisted_until is None:
                 self.block_events[node] = self.block_events.get(node, 0) + 1
+                self.first_blocked.setdefault(node, now)
             if st.blacklisted_until is None or st.blacklisted_until < proposed:
                 st.blacklisted_until = proposed
         if self.history is not None:
@@ -131,10 +139,9 @@ class TrustEngine:
 
     def deviation(self, st: TrustState, obs: BehaviorObservation) -> float:
         """Scale-free behavioral deviation against this source's baselines."""
-        p = self.params
-        d_rate = abs(obs.rate - st.ewma_rate) / (st.ewma_rate + p.epsilon)
+        d_rate = abs(obs.rate - st.ewma_rate) / (st.ewma_rate + _EPSILON)
         d_ia = abs(obs.inter_arrival - st.ewma_inter_arrival) / (
-            st.ewma_inter_arrival + p.epsilon
+            st.ewma_inter_arrival + _EPSILON
         )
         d_seq = 0.0 if obs.sequence_ok else 1.0
         return max(d_rate, d_ia, d_seq)

@@ -1,6 +1,9 @@
 """Scenario schema: defaults, overrides, and dotted-path diagnostics."""
 
+from pathlib import Path
+
 import pytest
+import yaml
 
 from pcsm.config import (
     SENSITIVITY_LAMBDAS,
@@ -10,6 +13,9 @@ from pcsm.config import (
     load_config,
     parse_config,
 )
+from pcsm.simulator import _build_stack
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_minimal_config_fills_defaults():
@@ -34,10 +40,11 @@ def test_trust_params_mapping_uses_send_interval_as_nominal():
             "traffic": {"send_interval": 45.0},
         }
     )
-    params = cfg.trust_params()
-    assert params.forgetting_factor == 0.8
-    assert params.threshold == 0.2
-    assert params.nominal_interval == 45.0
+    stack = _build_stack(cfg, trace=False)
+    assert stack.engine.params.forgetting_factor == 0.8
+    assert stack.engine.params.threshold == 0.2
+    assert stack.engine.state(1).ewma_inter_arrival == 45.0
+    assert stack.tracker.observe_frag1(1, 1, 10.0).inter_arrival == 45.0
 
 
 def test_attack_section_builds_spec_with_overrides():
@@ -90,6 +97,7 @@ def test_attack_none_token():
         ({"attack": {"kind": "early_frag1", "warmup_bytes": 97}}, "attack.warmup_bytes"),
         ({"attack": {"kind": "late_phase", "forged_size": 96}}, "attack.forged_size"),
         ({"attack": {"kind": "late_phase", "forged_size": 50}}, "attack.forged_size"),
+        ({"attack": {"kind": "burst_injection", "attacker": 2**31}}, "attack.attacker"),
     ],
 )
 def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):
@@ -99,6 +107,52 @@ def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):
         parse_config(data)
     assert err.value.field == wanted_field
     assert str(err.value).startswith(wanted_field + ":")
+
+
+@pytest.mark.parametrize(
+    "mutation,message",
+    [
+        ({"trust": {"history_alpha": 1.0}}, "trust.history_alpha: must be < 1.0"),
+        ({"trust": {"lambda": 1.0}}, "trust.lambda: must be < 1.0"),
+        ({"trust": {"initial_score": 1.5}}, "trust.initial_score: must be <= 1.0"),
+        ({"trust": {"block_duration": 0}}, "trust.block_duration: must be > 0.0"),
+        ({"buffer": {"timeout": 0}}, "buffer.timeout: must be > 0.0"),
+        ({"traffic": {"pacing": -1}}, "traffic.pacing: must be >= 0.0"),
+        ({"traffic": {"payload_bytes": 2.5}}, "traffic.payload_bytes: expected an integer"),
+        ({"traffic": {"payload_bytes": 2048}}, "traffic.payload_bytes: must be <= 2047"),
+        ({"traffic": {"send_interval": 0}}, "traffic.send_interval: must be > 0.0"),
+        ({"channel": {"corruption_rate": 2}}, "channel.corruption_rate: must be <= 1.0"),
+        ({"channel": {"cost": 1}}, "channel.cost: unknown field"),
+        ({"buffer": []}, "buffer: expected a mapping"),
+        ({"duration": "long"}, "duration: expected a number"),
+        ({"senders": 0}, "senders: must be >= 1"),
+        ({"attack": {"kind": "burst_injection", "salvo_size": 0}}, "attack.salvo_size: must be >= 1"),
+        ({"attack": {"kind": "burst_injection", "start": -1}}, "attack.start: must be >= 0.0"),
+        ({"attack": {"kind": "burst_injection", "flood_pacing": "x"}},
+         "attack.flood_pacing: expected a number"),
+        ({"attack": {"kind": "burst_injection", "late_spacing": True}},
+         "attack.late_spacing: expected a number"),
+        ({"attack": {"kind": "burst_injection", "replay_pool": 1.0}},
+         "attack.replay_pool: expected an integer"),
+        ({"attack": {"kind": "header_replay", "decoy": 1}}, "attack.decoy: unknown field"),
+        ({"attack": {"kind": "none", "start": 1.0}}, "attack.start: unknown field"),
+    ],
+)
+def test_diagnostics_read_exactly(mutation, message):
+    data = {"name": "x", "stack": "pcsm"}
+    data.update(mutation)
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(data)
+    assert str(err.value) == message
+
+
+def test_readme_defaults_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Scenario configuration"):]
+    start = section.index("```yaml\n") + len("```yaml\n")
+    shown = yaml.safe_load(section[start:section.index("\n```", start)])
+    del shown["attack"]
+    assert parse_config(shown) == parse_config({"stack": shown["stack"]})
 
 
 def test_attack_size_limits_accept_values_at_their_edges():

@@ -3,8 +3,9 @@
 import pytest
 
 from pcsm.config import parse_config
+from pcsm.frag_codec import FragmentHeader, FragmentKind, encode_header
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.simulator import simulate
+from pcsm.simulator import _legit_schedule, simulate
 
 
 def _cfg(**over):
@@ -149,6 +150,47 @@ def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
               "forged_size": 2047, "warmup_bytes": 96}
     cfg = parse_config({"stack": stack, "duration": 960.0, "attack": attack}, default_name="t")
     assert collect(simulate(cfg, seed=1)).conservation_ok
+
+
+@pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
+@pytest.mark.parametrize(
+    "edge",
+    [{"duration": 0}, {"buffer": {"slots": 1}}, {"traffic": {"payload_bytes": 2047}}],
+    ids=["no_time", "one_slot", "largest_datagram"],
+)
+def test_edge_configs_run_on_every_stack(stack, edge):
+    data = {"stack": stack, "duration": 600.0,
+            "attack": {"kind": "burst_injection", "start": 300.0}}
+    data.update(edge)
+    assert collect(simulate(parse_config(data, default_name="edge"), seed=1)).conservation_ok
+
+
+def test_largest_attacker_id_runs_on_secupan():
+    # the largest source id baselines.fragment_mac can pack; config rejects one more
+    attack = {"kind": "burst_injection", "start": 60.0, "attacker": 2**31 - 1}
+    cfg = parse_config({"stack": "secupan", "duration": 120.0, "attack": attack},
+                       default_name="t")
+    assert collect(simulate(cfg, seed=1)).conservation_ok
+
+
+def _fast_sender():
+    # one single-fragment datagram every 10 ms: 70,000 sends, past the 16-bit tag space
+    return _cfg(senders=1, duration=700.0,
+                traffic={"send_interval": 0.01, "payload_bytes": 64, "phase_base": 0.0})
+
+
+def test_legit_tags_wrap_at_sixteen_bits():
+    tags = [s.tag for s in _legit_schedule(_fast_sender(), seed=1)]
+    assert len(tags) > 0x10000
+    assert all(b == (a + 1) % 0x10000 for a, b in zip(tags, tags[1:]))
+    for tag in set(tags):
+        encode_header(FragmentHeader(FragmentKind.FRAG1, 64, tag))
+
+
+def test_wrapped_tags_still_check_the_right_payload():
+    r = simulate(_fast_sender(), seed=1)
+    assert len(r.delivered) > 0x10000
+    assert all(d.intact for d in r.delivered)
 
 
 def test_energy_ledger_covers_every_node():

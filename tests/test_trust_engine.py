@@ -149,6 +149,7 @@ def test_blacklist_lifecycle_and_probation():
     st = eng.penalize(8, 100.0)  # 0.279 < 0.3 -> blocked
     assert st.score < 0.3
     assert st.blacklisted_until == 160.0
+    assert eng.first_blocked == {8: 100.0}
     assert eng.is_blocked(8, 130.0)
     assert not eng.is_blocked(8, 161.0)
     # next update after expiry re-enters on probation at the threshold
