@@ -38,7 +38,7 @@ from .config import (
 from .frag_codec import ExtensionFields, FragmentHeader, FragmentKind, encode_header
 from .hash_chain import reference_vectors
 from .metrics import RunMetrics, aggregate, collect, render_table
-from .simulator import simulate
+from .simulator import plan_arrivals, simulate, world
 from .trust_engine import TrustParams
 
 EXIT_OK = 0
@@ -73,9 +73,26 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _run_seeds(cfg, seeds, trace=False):
-    results = [simulate(cfg, seed, trace=trace) for seed in seeds]
-    return results, [collect(r) for r in results]
+def _sweep(cfgs, seeds, keep=None, trace=False) -> list[list]:
+    """keep(simulate(cfg, seed)) for every config and seed, one list per config.
+
+    Seed-outer: the configs that share a world (see simulator.world)
+    share one arrival plan per seed, which is dropped once they have
+    run, and each RunResult is dropped as soon as keep (default
+    collect) has read it.
+    """
+    keep = collect if keep is None else keep
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(world(cfg), []).append(i)
+    kept: list[list] = [[] for _ in cfgs]
+    for seed in seeds:
+        for members in groups.values():
+            plan = plan_arrivals(cfgs[members[0]], seed)
+            for i in members:
+                kept[i].append(keep(simulate(cfgs[i], seed, trace=trace, plan=plan)))
+            del plan  # freed before the next one is built
+    return kept
 
 
 def _trace_lines(result) -> list[str]:
@@ -125,7 +142,14 @@ def _per_seed_rows(metrics: list[RunMetrics]) -> list[dict]:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args)
-    results, metrics = _run_seeds(cfg, _seeds(args), trace=args.trace)
+    trace_lines: list[str] = []
+
+    def keep(result):
+        if args.trace:
+            trace_lines.extend(_trace_lines(result))
+        return collect(result)
+
+    [metrics] = _sweep([cfg], _seeds(args), keep=keep, trace=args.trace)
 
     runs_path = out / f"{cfg.name}.runs.jsonl"
     _write_text(runs_path, "".join(m.to_json() + "\n" for m in metrics))
@@ -134,10 +158,7 @@ def cmd_run(args) -> int:
     _write_text(summary_path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     if args.trace:
         trace_path = out / f"{cfg.name}.trace.jsonl"
-        _write_text(
-            trace_path,
-            "".join(line + "\n" for r in results for line in _trace_lines(r)),
-        )
+        _write_text(trace_path, "".join(line + "\n" for line in trace_lines))
 
     print(f"scenario {cfg.name} stack={cfg.stack} "
           f"attack={cfg.attack.kind if cfg.attack else 'none'} "
@@ -182,11 +203,10 @@ def cmd_matrix(args) -> int:
                 print(f"warning: no config for scenario={kind} stack={stack}, "
                       f"row omitted", file=sys.stderr)
 
+    order = sorted(cells, key=lambda c: (_scenario_key(c[0]), STACKS.index(c[1])))
     rows = []
     lines = []
-    for (kind, stack) in sorted(cells, key=lambda c: (_scenario_key(c[0]), STACKS.index(c[1]))):
-        cfg = cells[(kind, stack)]
-        _, metrics = _run_seeds(cfg, seeds)
+    for (kind, stack), metrics in zip(order, _sweep([cells[c] for c in order], seeds)):
         agg = aggregate(metrics)
         lines.append(json.dumps(agg, sort_keys=True))
         det = agg["detection_latency_s"]
@@ -217,35 +237,35 @@ def cmd_sensitivity(args) -> int:
     out = _out_dir(args)
     seeds = _seeds(args)
 
+    grid = [(lam, theta) for lam in SENSITIVITY_LAMBDAS for theta in SENSITIVITY_THETAS]
+    cells = [
+        dataclasses.replace(
+            cfg,
+            name=f"{cfg.name}-f{lam}-t{theta}",
+            trust=dataclasses.replace(cfg.trust, forgetting_factor=lam, threshold=theta),
+        )
+        for lam, theta in grid
+    ]
     rows = []
     lines = []
-    for lam in SENSITIVITY_LAMBDAS:
-        for theta in SENSITIVITY_THETAS:
-            cell = dataclasses.replace(
-                cfg,
-                name=f"{cfg.name}-f{lam}-t{theta}",
-                trust=dataclasses.replace(
-                    cfg.trust, forgetting_factor=lam, threshold=theta
-                ),
-            )
-            _, metrics = _run_seeds(cell, seeds)
-            agg = aggregate(metrics)
-            agg["forgetting_factor"] = lam
-            agg["threshold"] = theta
-            label = SENSITIVITY_LABELS.get((lam, theta), "")
-            agg["label"] = label
-            lines.append(json.dumps(agg, sort_keys=True))
-            ident = agg["identification_latency_s"]
-            rows.append(
-                {
-                    "lambda": lam,
-                    "theta": theta,
-                    "label": label,
-                    "identify_s": _fmt(ident["mean"], 3) if ident else "-",
-                    "false_blocks_per_100": _fmt(agg["false_block_rate"]["mean"], 3),
-                    "pdr": _fmt(agg["pdr"]["mean"]),
-                }
-            )
+    for (lam, theta), metrics in zip(grid, _sweep(cells, seeds)):
+        agg = aggregate(metrics)
+        agg["forgetting_factor"] = lam
+        agg["threshold"] = theta
+        label = SENSITIVITY_LABELS.get((lam, theta), "")
+        agg["label"] = label
+        lines.append(json.dumps(agg, sort_keys=True))
+        ident = agg["identification_latency_s"]
+        rows.append(
+            {
+                "lambda": lam,
+                "theta": theta,
+                "label": label,
+                "identify_s": _fmt(ident["mean"], 3) if ident else "-",
+                "false_blocks_per_100": _fmt(agg["false_block_rate"]["mean"], 3),
+                "pdr": _fmt(agg["pdr"]["mean"]),
+            }
+        )
 
     _write_text(out / "sensitivity.jsonl", "".join(line + "\n" for line in lines))
     table = render_table(
@@ -326,9 +346,19 @@ def cmd_vectors(args) -> int:
     return EXIT_OK
 
 
+def _seed_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
-    p.add_argument("--seed-count", type=int, default=15,
+    p.add_argument("--seed-count", type=_seed_count, default=15,
                    help="number of consecutive seeds (default 15)")
     p.add_argument("--out", default="results",
                    help="directory for result files (default ./results)")

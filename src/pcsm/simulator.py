@@ -8,27 +8,39 @@ the configured receiver stack.  Every received fragment ends the run
 with exactly one terminal disposition, which downstream metrics rely
 on for conservation checking.
 
-No event schedules another, so the whole run is known before it
-starts: the frames that survive the channel are stable-sorted by
-arrival time (legitimate fragments before adversary frames at equal
-times) and visited in one pass.  Housekeeping ticks fall on whole
-seconds, after any arrival at the same instant, and run only while the
-reassembly buffer holds an open session; on an empty buffer a tick
-changes nothing.
+Randomness is split into named streams keyed by the run seed alone, so
+a seed fully determines the traffic, the adversary schedule, and the
+channel, independently of which stack variant is under test.  That
+alignment is what makes cross-stack comparisons under a matched seed
+meaningful, and it splits a run in two:
+
+- Plan (plan_arrivals): the legit sends with their loss and corruption
+  fates, the adversary schedule with its channel fates, the sent
+  counts, and every frame that reaches the root, stable-sorted by
+  arrival time (legitimate fragments before adversary frames at equal
+  times).  It depends on the seed and the world (every config field
+  except the stack, its buffer and trust settings, and the name), and
+  is stored as columns.  It signs the legit fragments lazily, once per
+  wire format.
+- Replay (simulate): build the stack, visit the plan's arrivals in one
+  pass, and keep the ledgers and records.  No event schedules another,
+  so nothing is added to the plan on the way.  Housekeeping ticks fall
+  on whole seconds, after any arrival at the same instant, and run only
+  while the reassembly buffer holds an open session; on an empty buffer
+  a tick changes nothing.
+
+A plan lives as long as its caller keeps it: simulate builds one per
+run unless given one, and the command-line sweeps build one per seed
+and world, replay it for every stack and trust cell that shares it,
+and drop it before the next.  Nothing caches plans across calls.
 
 Every arrival meets the radio prefilter first, which sees only the link
 source and the dispatch kind.  A frame the prefilter drops gets one
 record, final from the start ("untrusted", prefiltered), and costs
 nothing more.  Any other frame gets one record that the stack's outcome
-completes.  An adversary frame is a bare schedule entry up to this
-point and is built into a fragment for the stack under test only once
-it passes the prefilter.
-
-Randomness is split into named streams keyed by the run seed alone, so
-a seed fully determines the traffic, the adversary schedule, and the
-channel, independently of which stack variant is under test.  That
-alignment is what makes cross-stack comparisons under a matched seed
-meaningful.
+completes, and a fragment built for this run: a legit one from the
+plan's signed fragments, an adversary one from its schedule entry in
+the wire shape of the stack under test.
 """
 
 from __future__ import annotations
@@ -36,11 +48,11 @@ from __future__ import annotations
 import heapq  # unused here; bench/layers.py patches simulator.heapq when tracing
 import math
 import random
-from dataclasses import dataclass, field
-from operator import itemgetter
+from array import array
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .attacks import AttackEmission, ScheduledSend, build_attack
+from .attacks import KIND_CODES, AttackEmission, AttackSchedule, ScheduledSend, build_attack
 from .baselines import (
     MAC_CPU_MS,
     CsmLikeStack,
@@ -148,17 +160,15 @@ class RunResult:
 
 
 class _Frame(NamedTuple):
-    """One frame that survives the channel and reaches the root."""
+    """One frame of a plan that survives the channel and reaches the root."""
 
     arrival: float
     source: int
     kind: FragmentKind
     origin: int
-    bytes_on_air: int
     corrupt: bool
-    # a legitimate Fragment, or the AttackEmission an adversary frame is
-    # built from once it passes the prefilter
-    wire: Fragment | AttackEmission
+    # index of the legit fragment, or ~index of the adversary emission
+    ref: int
 
 
 def _corrupt_payload(payload: bytes) -> bytes:
@@ -207,83 +217,195 @@ def _legit_schedule(cfg: ScenarioConfig, seed: int) -> list[ScheduledSend]:
     return sends
 
 
-def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
-    stack = _build_stack(cfg, trace)
-    is_pcsm = cfg.stack == "pcsm"
-    with_ext = cfg.stack in ("pcsm", "secupan")
-    sign_cpu_ms = HASH_CPU_MS if is_pcsm else MAC_CPU_MS if cfg.stack == "secupan" else 0.0
+# Scenario fields that belong to the stack under test; every other field
+# shapes the traffic, so runs that differ only in these can share a plan.
+_STACK_FIELDS = ("name", "stack", "buffer", "trust")
+_WORLD_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.name not in _STACK_FIELDS)
 
+
+def world(cfg: ScenarioConfig) -> tuple:
+    """The part of a config an arrival plan depends on; hashable."""
+    return tuple(getattr(cfg, name) for name in _WORLD_FIELDS)
+
+
+class _Wire(NamedTuple):
+    """A plan's traffic in one wire format."""
+
+    # every legit fragment, lost ones too, signed for the format
+    fragments: list[Fragment]
+    # per non-root node, summed in emission order as the senders spend them
+    cpu_ms: dict[int, float]
+    tx_s: dict[int, float]
+
+
+class ArrivalPlan(NamedTuple):
+    """Everything about one seed's run that no stack variant changes.
+
+    The legit sends with their channel fates, the adversary schedule
+    with its channel fates, and every frame that reaches the root in
+    arrival order, as columns.  A frame's ref is the index of its legit
+    fragment, or ~index of its adversary emission.  Build one with
+    plan_arrivals; simulate only reads it, except to sign the legit
+    fragments once per wire format on first use.
+    """
+
+    seed: int
+    world: tuple
+    key: bytes
+    sends: list[ScheduledSend]
+    attacker: int | None
+    attack: AttackSchedule | None
+    sent_datagrams: dict[int, int]
+    sent_fragments: dict[int, int]
+    times: array
+    sources: array
+    kinds: array
+    refs: array
+    # channel corruption, per legit fragment and per adversary emission
+    legit_corrupt: bytearray
+    attack_corrupt: bytearray
+    # signer -> _Wire, filled by wire() on first use
+    wires: dict
+
+    def check(self, cfg: ScenarioConfig, seed: int) -> None:
+        """Raise ValueError unless this plan is the one cfg and seed would build."""
+        if seed != self.seed:
+            raise ValueError(f"arrival plan was built for seed {self.seed}, not {seed}")
+        for name, mine, theirs in zip(_WORLD_FIELDS, self.world, world(cfg)):
+            if mine != theirs:
+                raise ValueError(f"arrival plan was built for another {name}: "
+                                 f"{mine!r}, not {theirs!r}")
+
+    def wire(self, signer: str | None) -> _Wire:
+        """The traffic as signer ("chain", "mac" or None) puts it on the air."""
+        built = self.wires.get(signer)
+        if built is None:
+            built = self.wires[signer] = _build_wire(self, signer)
+        return built
+
+    def frames(self):
+        """The arrivals in order, one _Frame each."""
+        attacker, legit_corrupt, attack_corrupt = (
+            self.attacker, self.legit_corrupt, self.attack_corrupt)
+        for now, source, code, ref in zip(self.times, self.sources, self.kinds, self.refs):
+            legit = ref >= 0
+            yield _Frame(now, source, KIND_CODES[code], source if legit else attacker,
+                         bool(legit_corrupt[ref] if legit else attack_corrupt[~ref]), ref)
+
+
+_SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
+
+
+def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
+    with_ext = signer is not None
+    sign_cpu_ms = _SIGN_CPU_MS[signer]
+    fragments: list[Fragment] = []
+    cpu_ms = dict.fromkeys(plan.sent_fragments, 0.0)
+    tx_s = dict(cpu_ms)
+    for send in plan.sends:
+        frags = fragment_packet(send.payload, send.tag, with_extension=with_ext)
+        if signer == "chain":
+            sign_fragments(plan.key, frags, send.nonce)
+        elif signer == "mac":
+            mac_sign_fragments(plan.key, frags, send.nonce, send.source)
+        src = send.source
+        for frag in frags:
+            tx_s[src] += airtime(header_length(frag.header.kind, with_ext) + len(frag.payload))
+            cpu_ms[src] += sign_cpu_ms
+        fragments += frags
+    if plan.attack is not None:
+        header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
+        tx = tx_s[plan.attacker]
+        for code, n in zip(plan.attack.kinds, plan.attack.payload_len):
+            tx += airtime(header_lens[code] + n)
+        tx_s[plan.attacker] = tx
+    return _Wire(fragments, cpu_ms, tx_s)
+
+
+def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
+    """Draw one seed's traffic, adversary schedule and channel fates."""
     sends = _legit_schedule(cfg, seed)
     rng_corrupt = random.Random(f"{seed}:corrupt")
+    loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
 
     attacker = cfg.attack.attacker if cfg.attack else None
-    nodes = [ROOT] + list(range(1, cfg.senders + 1))
+    sent_datagrams = {src: 0 for src in range(1, cfg.senders + 1)}
+    sent_fragments = dict(sent_datagrams)
     if attacker is not None:
-        nodes.append(attacker)
-    ledgers = {node: EnergyLedger() for node in nodes}
+        sent_fragments[attacker] = 0
+    times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
 
-    sent_datagrams: dict[int, int] = {src: 0 for src in range(1, cfg.senders + 1)}
-    sent_fragments: dict[int, int] = {node: 0 for node in nodes if node != ROOT}
+    # legitimate traffic, fragment by fragment in send order
+    legit_corrupt = bytearray()
+    pacing = cfg.traffic.pacing
+    for send in sends:
+        src = send.source
+        sent_datagrams[src] += 1
+        sent_fragments[src] += len(send.lost)
+        for j, lost in enumerate(send.lost):
+            # drawn for lost fragments too, so the stream stays aligned
+            legit_corrupt.append(rng_corrupt.random() < corruption_rate)
+            if not lost:
+                times.append(send.time + j * pacing + PROPAGATION_DELAY)
+                sources.append(src)
+                kinds.append(j > 0)
+                refs.append(len(legit_corrupt) - 1)
+
+    # adversary traffic, one loss and one corruption draw per emission
+    attack = None
+    attack_corrupt = bytearray()
+    if cfg.attack is not None:
+        rng_attack = random.Random(f"{seed}:attack")
+        rng_chan = random.Random(f"{seed}:attack-channel")
+        attack = build_attack(cfg.attack, sends, cfg.duration, rng_attack)
+        sent_fragments[attacker] += len(attack)
+        draw = rng_chan.random
+        for i, (t, source, code) in enumerate(zip(attack.times, attack.sources, attack.kinds)):
+            lost = draw() < loss_rate
+            attack_corrupt.append(draw() < corruption_rate)
+            if not lost:
+                times.append(t + PROPAGATION_DELAY)
+                sources.append(source)
+                kinds.append(code)
+                refs.append(~i)
+
+    # stable, so equal arrival times keep legit-then-adversary emission order
+    order = sorted(range(len(times)), key=times.__getitem__)
+    times, sources, kinds, refs = (
+        array(col.typecode, map(col.__getitem__, order)) for col in (times, sources, kinds, refs)
+    )
+    return ArrivalPlan(seed, world(cfg), cfg.key, sends, attacker, attack, sent_datagrams,
+                       sent_fragments, times, sources, kinds, refs, legit_corrupt, attack_corrupt,
+                       {})
+
+
+def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
+             plan: ArrivalPlan | None = None) -> RunResult:
+    """Run cfg's stack against one seed's traffic.
+
+    plan, if given, must come from plan_arrivals for the same seed and
+    world (see world()); it saves rebuilding the traffic when several
+    stacks or trust cells face the same seed.  The result is the same
+    either way.
+    """
+    if plan is None:
+        plan = plan_arrivals(cfg, seed)
+    else:
+        plan.check(cfg, seed)
+    stack = _build_stack(cfg, trace)
+    is_pcsm = cfg.stack == "pcsm"
+    signer = "chain" if is_pcsm else "mac" if cfg.stack == "secupan" else None
+    with_ext = signer is not None
+    wire = plan.wire(signer)
+
+    attacker = plan.attacker
+    ledgers = {ROOT: EnergyLedger()}
+    for node in plan.sent_fragments:
+        ledgers[node] = EnergyLedger(wire.cpu_ms[node], wire.tx_s[node])
     # filled as the run reaches each send: tags wrap, so one (source, tag)
     # can name several datagrams, and the one delivered is the latest so far
     original_payload: dict[tuple[int, int], bytes] = {}
-    unreached = sends[::-1]
-
-    arrivals: list[_Frame] = []
-
-    # legitimate traffic, signed per the stack's wire format
-    for send in sends:
-        frags = fragment_packet(send.payload, send.tag, with_extension=with_ext)
-        if is_pcsm:
-            sign_fragments(cfg.key, frags, send.nonce)
-        elif cfg.stack == "secupan":
-            mac_sign_fragments(cfg.key, frags, send.nonce, send.source)
-        sent_datagrams[send.source] += 1
-        for j, frag in enumerate(frags):
-            frag.source = send.source
-            emit = send.time + j * cfg.traffic.pacing
-            kind = frag.header.kind
-            nbytes = header_length(kind, with_ext) + len(frag.payload)
-            ledgers[send.source].tx_s += airtime(nbytes)
-            ledgers[send.source].cpu_ms += sign_cpu_ms
-            sent_fragments[send.source] += 1
-            # drawn for lost fragments too, so the stream stays aligned
-            corrupt = rng_corrupt.random() < cfg.channel.corruption_rate
-            if not send.lost[j]:
-                arrivals.append(
-                    _Frame(emit + PROPAGATION_DELAY, send.source, kind, send.source,
-                           nbytes, corrupt, frag)
-                )
-
-    # adversary traffic, kept as schedule entries until the prefilter passes them
-    attack_start = None
-    if cfg.attack is not None:
-        attack_start = cfg.attack.start
-        rng_attack = random.Random(f"{seed}:attack")
-        rng_chan = random.Random(f"{seed}:attack-channel")
-        emissions = build_attack(cfg.attack, sends, cfg.duration, rng_attack)
-        sent_fragments[attacker] += len(emissions)
-        frag1 = FragmentKind.FRAG1
-        frag1_len = header_length(frag1, with_ext)
-        fragn_len = header_length(FragmentKind.FRAGN, with_ext)
-        draw = rng_chan.random
-        loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
-        make_frame, append = _Frame, arrivals.append
-        tx_s = ledgers[attacker].tx_s
-        for em in emissions:
-            kind = em.kind
-            nbytes = (frag1_len if kind is frag1 else fragn_len) + len(em.payload)
-            tx_s += airtime(nbytes)
-            lost = draw() < loss_rate
-            corrupt = draw() < corruption_rate
-            if not lost:
-                append(make_frame(em.time + PROPAGATION_DELAY, em.claimed_source, kind,
-                                  attacker, nbytes, corrupt, em))
-        ledgers[attacker].tx_s = tx_s
-        del emissions  # a frame holds its emission; lost ones can go now
-
-    # stable, so equal arrival times keep legit-then-adversary emission order
-    arrivals.sort(key=itemgetter(0))
+    unreached = plan.sends[::-1]
 
     records: list[FrameRecord] = []
     delivered: list[DeliveredRecord] = []
@@ -293,20 +415,17 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
     next_tick = TICK_INTERVAL
     record, add_record = FrameRecord, records.append
     filter_frame = stack.filter_frame
+    kind_of = KIND_CODES
+    header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
+    legit, legit_corrupt = wire.fragments, plan.legit_corrupt
+    attack, attack_corrupt = plan.attack, plan.attack_corrupt
 
     def _mark(sessions, disposition):
         for session in sessions:
             for frag in session.fragments:
                 frag.record.disposition = disposition
 
-    # Visit the arrivals in order, releasing each frame once visited: a
-    # prefiltered frame then frees its frame and emission as it allocates
-    # its record, which keeps the garbage collector's young generation
-    # from filling up on the hostile traffic.
-    arrivals.reverse()
-    next_arrival = arrivals.pop
-    while arrivals:
-        now, source, kind, origin, nbytes, corrupt, frag = next_arrival()
+    for now, source, code, ref in zip(plan.times, plan.sources, plan.kinds, plan.refs):
         # ticks strictly before this arrival; on an empty buffer a tick
         # is a no-op, so skip to the first one not before it
         while next_tick < now and next_tick <= duration:
@@ -316,15 +435,26 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
             _mark(stack.tick(next_tick), "timeout")
             next_tick += TICK_INTERVAL
 
+        kind = kind_of[code]
         if filter_frame(source, kind, now):
             # address-filtered in the radio: no RX cost, no CPU
-            add_record(record(now, source, origin, kind, "untrusted", True))
+            add_record(record(now, source, source if ref >= 0 else attacker, kind,
+                              "untrusted", True))
             continue
 
+        if ref >= 0:
+            # a fresh fragment per run: corruption and the record are per run
+            sent = legit[ref]
+            frag = Fragment(sent.header, sent.payload, source)
+            corrupt = legit_corrupt[ref]
+            origin = source
+        else:
+            frag = _materialize_emission(attack[~ref], cfg, with_ext, is_pcsm)
+            corrupt = attack_corrupt[~ref]
+            origin = attacker
         rec = record(now, source, origin, kind, "stored")
         add_record(rec)
-        if isinstance(frag, AttackEmission):
-            frag = _materialize_emission(frag, cfg, with_ext, is_pcsm)
+        nbytes = header_lens[code] + len(frag.payload)
         if corrupt:
             frag.payload = _corrupt_payload(frag.payload)
         frag.record = rec
@@ -362,9 +492,9 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False) -> RunResult:
         senders=cfg.senders,
         attacker=attacker,
         attack_kind=cfg.attack.kind if cfg.attack else None,
-        attack_start=attack_start,
-        sent_datagrams=sent_datagrams,
-        sent_fragments=sent_fragments,
+        attack_start=cfg.attack.start if cfg.attack else None,
+        sent_datagrams=dict(plan.sent_datagrams),
+        sent_fragments=dict(plan.sent_fragments),
         records=records,
         delivered=delivered,
         identified_at=identified_at,

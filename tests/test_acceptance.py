@@ -20,6 +20,7 @@ from pcsm.analytic import (
     steps_to_blacklist,
     trust_closed_form,
 )
+from pcsm.cli import _sweep
 from pcsm.config import load_config
 from pcsm.frag_codec import (
     MAX_DATAGRAM_SIZE,
@@ -52,33 +53,35 @@ STACKS = ("vanilla", "csm", "secupan", "pcsm")
 SEEDS = tuple(range(1, 16))
 
 
-def _sweep_cell(cfg, seeds):
-    """Run one scenario across seeds, keeping metrics plus audit flags."""
-    metrics, audits = [], []
-    for seed in seeds:
-        result = simulate(cfg, seed, trace=True)
-        m = collect(result)
-        metrics.append(m)
+def _sweep_cells(cfgs):
+    """Metrics per config over SEEDS, plus audit flags per run.
+
+    Runs through the command line's seed-outer sweep, so configs that
+    share a world share each seed's arrival plan.
+    """
+    slots = {cfg.name: cfg.buffer.slots for cfg in cfgs}
+
+    def keep(result):
         trust_ok = all(0.0 <= score <= 1.0
                        for _, _, score in (result.trust_history or []))
-        audits.append(
-            (cfg.name, seed, m.conservation_ok, trust_ok,
-             result.max_occupancy <= cfg.buffer.slots)
-        )
+        m = collect(result)
+        return m, (result.name, result.seed, m.conservation_ok, trust_ok,
+                   result.max_occupancy <= slots[result.name])
+
+    metrics, audits = [], []
+    for runs in _sweep(cfgs, SEEDS, keep=keep, trace=True):
+        metrics.append([m for m, _ in runs])
+        audits.extend(audit for _, audit in runs)
     return metrics, audits
 
 
 @pytest.fixture(scope="module")
 def evaluation():
     """Metrics for every bundled stack x scenario cell, seeds 1..15."""
-    cells, audits = {}, []
     jobs = [(sc, st) for sc in ATTACKS for st in STACKS] + [("none", "pcsm")]
-    for scenario, stack in jobs:
-        cfg = load_config(CONFIG_DIR / f"{stack}-{scenario}.yaml")
-        metrics, cell_audits = _sweep_cell(cfg, SEEDS)
-        cells[(scenario, stack)] = metrics
-        audits.extend(cell_audits)
-    return cells, audits
+    cfgs = [load_config(CONFIG_DIR / f"{stack}-{scenario}.yaml") for scenario, stack in jobs]
+    metrics, audits = _sweep_cells(cfgs)
+    return dict(zip(jobs, metrics)), audits
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +90,18 @@ def sensitivity_cells():
     base = load_config(CONFIG_DIR / "sensitivity" / "base.yaml")
     named = {"aggressive": (0.7, 0.2), "default": (0.9, 0.3),
              "conservative": (0.95, 0.4)}
-    out, audits = {}, []
-    for label, (lam, theta) in named.items():
-        cell = dataclasses.replace(
+    cfgs = [
+        dataclasses.replace(
             base,
             name=f"{base.name}-{label}",
             trust=dataclasses.replace(
                 base.trust, forgetting_factor=lam, threshold=theta
             ),
         )
-        out[label], cell_audits = _sweep_cell(cell, SEEDS)
-        audits.extend(cell_audits)
-    return out, audits
+        for label, (lam, theta) in named.items()
+    ]
+    metrics, audits = _sweep_cells(cfgs)
+    return dict(zip(named, metrics)), audits
 
 
 def _mean(cells, key, field):

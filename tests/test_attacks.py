@@ -7,6 +7,8 @@ import pytest
 
 from pcsm.attacks import (
     ATTACK_KINDS,
+    AttackEmission,
+    AttackSchedule,
     AttackSpec,
     ScheduledSend,
     build_attack,
@@ -179,7 +181,7 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
     spec = AttackSpec("burst_injection")
     rng, twin = random.Random(11), random.Random(11)
     tags = _TagCounter()
-    ems = _forged_frag1s(spec, rng, tags, [float(k) for k in range(50)])
+    ems = _forged_frag1s(spec, AttackSchedule(rng), tags, [float(k) for k in range(50)])
     assert [em.time for em in ems] == [float(k) for k in range(50)]
     for em in ems:
         assert em.payload == twin.randbytes(MAX_FRAGMENT_PAYLOAD)
@@ -189,15 +191,222 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
 
 
 def test_emissions_are_immutable():
-    [em] = _forged_frag1s(AttackSpec("burst_injection"), random.Random(1), _TagCounter(), [0.0])
+    [em] = _forged_frag1s(AttackSpec("burst_injection"), AttackSchedule(random.Random(1)),
+                          _TagCounter(), [0.0])
     with pytest.raises(AttributeError):
         em.time = 1.0
 
 
 def test_forged_tags_wrap_back_to_the_forged_range_like_take():
     counter, twin = _TagCounter(0xFFFE), _TagCounter(0xFFFE)
-    ems = _forged_frag1s(AttackSpec("burst_injection"), random.Random(2), counter, [0.0] * 4)
+    ems = _forged_frag1s(AttackSpec("burst_injection"), AttackSchedule(random.Random(2)), counter,
+                         [0.0] * 4)
     assert [em.tag for em in ems] == [twin.take() for _ in range(4)] == [
         0xFFFE, 0xFFFF, 0x8000, 0x8001,
     ]
     assert counter.next_tag == twin.next_tag == 0x8002
+
+
+# Reference builders: the per-emission implementation the columnar
+# schedule replaced, kept verbatim so the schedule can be checked against
+# it emission by emission, rng state included.
+
+class _RefTagCounter:
+    def __init__(self, base=0x8000):
+        self.next_tag = base
+
+    def take_n(self, n):
+        tags = []
+        tag = self.next_tag
+        for _ in range(n):
+            tags.append(tag)
+            tag = (tag + 1) % 0x10000 or 0x8000
+        self.next_tag = tag
+        return tags
+
+    def take(self):
+        [tag] = self.take_n(1)
+        return tag
+
+
+def _ref_warmup_emissions(spec, rng, tags, duration):
+    out = []
+    t = spec.warmup_start
+    while t < min(spec.start, duration):
+        payload = rng.randbytes(spec.warmup_bytes)
+        out.append(AttackEmission(t, FragmentKind.FRAG1, spec.attacker, len(payload), tags.take(),
+                                  0, payload, rng.randbytes(4), rng.randbytes(8)))
+        t += spec.warmup_interval
+    return out
+
+
+_REF_FORGED_BYTES = MAX_FRAGMENT_PAYLOAD + 4 + 8
+
+
+def _ref_forged_frag1s(spec, rng, tags, times):
+    draw = rng.getrandbits
+    frag1, attacker, size = FragmentKind.FRAG1, spec.attacker, spec.forged_size
+    out = []
+    for when, tag in zip(times, tags.take_n(len(times))):
+        blob = draw(8 * _REF_FORGED_BYTES).to_bytes(_REF_FORGED_BYTES, "little")
+        out.append(AttackEmission(when, frag1, attacker, size, tag, 0,
+                                  blob[:MAX_FRAGMENT_PAYLOAD], blob[MAX_FRAGMENT_PAYLOAD:-8],
+                                  blob[-8:]))
+    return out
+
+
+def _ref_early_frag1(spec, legit_sends, duration, rng):
+    tags = _RefTagCounter()
+    out = _ref_warmup_emissions(spec, rng, tags, duration)
+    for send in legit_sends:
+        if send.time < spec.start or send.time >= duration:
+            continue
+        t0 = send.time - spec.early_lead
+        out += _ref_forged_frag1s(
+            spec, rng, tags, [t0 + k * spec.salvo_spacing for k in range(spec.salvo_size)]
+        )
+    out.sort(key=lambda e: e.time)
+    return out
+
+
+def _ref_complete_flooding(spec, legit_sends, duration, rng):
+    tags = _RefTagCounter()
+    out = _ref_warmup_emissions(spec, rng, tags, duration)
+    t = spec.start
+    while t < duration:
+        tag = tags.take()
+        nonce = rng.randbytes(4)
+        body = rng.randbytes(spec.flood_bytes)
+        for j in range(0, len(body), MAX_FRAGMENT_PAYLOAD):
+            first = j == 0
+            out.append(AttackEmission(
+                t + (j // MAX_FRAGMENT_PAYLOAD) * spec.flood_pacing,
+                FragmentKind.FRAG1 if first else FragmentKind.FRAGN,
+                spec.attacker, len(body), tag, j // 8, body[j : j + MAX_FRAGMENT_PAYLOAD],
+                nonce if first else b"", rng.randbytes(8),
+            ))
+        t += spec.flood_interval
+    out.sort(key=lambda e: e.time)
+    return out
+
+
+def _ref_header_replay(spec, legit_sends, duration, rng):
+    observed = [s for s in legit_sends if not (s.lost and s.lost[0])]
+    out = []
+    t = spec.start
+    n = 0
+    while t < duration:
+        pool = [s for s in observed if s.time < t][-spec.replay_pool:]
+        if pool:
+            victim = pool[n % len(pool)]
+            payload = rng.randbytes(min(MAX_FRAGMENT_PAYLOAD, len(victim.payload)))
+            out.append(AttackEmission(
+                t, FragmentKind.FRAG1, victim.source, len(victim.payload), victim.tag, 0,
+                payload, victim.nonce, bytes(8), victim.payload[:MAX_FRAGMENT_PAYLOAD],
+            ))
+            n += 1
+        t += spec.replay_interval
+    return out
+
+
+def _ref_burst_injection(spec, legit_sends, duration, rng):
+    tags = _RefTagCounter()
+    out = _ref_warmup_emissions(spec, rng, tags, duration)
+    times = []
+    n = 0
+    while True:
+        t = spec.start + n / spec.burst_rate
+        if t >= duration:
+            break
+        times.append(t)
+        n += 1
+    out += _ref_forged_frag1s(spec, rng, tags, times)
+    return out
+
+
+def _ref_late_phase(spec, legit_sends, duration, rng):
+    tags = _RefTagCounter()
+    out = _ref_warmup_emissions(spec, rng, tags, duration)
+    for send in legit_sends:
+        if send.time < spec.start or send.time >= duration:
+            continue
+        for j, tag in enumerate(tags.take_n(spec.late_orphans)):
+            payload = rng.randbytes(MAX_FRAGMENT_PAYLOAD)
+            out.append(AttackEmission(
+                send.time + spec.late_lag + j * spec.late_spacing, FragmentKind.FRAGN,
+                spec.attacker, spec.forged_size, tag, MAX_FRAGMENT_PAYLOAD // 8,
+                payload, b"", rng.randbytes(8),
+            ))
+    out.sort(key=lambda e: e.time)
+    return out
+
+
+_REF_BUILDERS = {
+    "early_frag1": _ref_early_frag1,
+    "complete_flooding": _ref_complete_flooding,
+    "header_replay": _ref_header_replay,
+    "burst_injection": _ref_burst_injection,
+    "late_phase": _ref_late_phase,
+}
+
+
+def _ref_build_attack(spec, legit_sends, duration, rng):
+    ems = _REF_BUILDERS[spec.kind](spec, legit_sends, duration, rng)
+    return [e for e in ems if e.time < duration]
+
+
+def _victim_sends(seed):
+    """Eight senders from 850 s on, some first fragments lost, payload sizes word-unaligned too."""
+    rng = random.Random(f"sends:{seed}")
+    sends = []
+    for i in range(90):
+        size = rng.choice((288, 61, 95, 200, 7))
+        lost = (rng.random() < 0.2, False, False)
+        sends.append(ScheduledSend(850.0 + 11.25 * i, 1 + i % 8, i + 1, rng.randbytes(4),
+                                   rng.randbytes(size), lost))
+    return sends
+
+
+_BURST_WRAP = AttackSpec("burst_injection", start=0.0, warmup_start=0.0, burst_rate=100.0)
+_LATE_WRAP = AttackSpec("late_phase", start=0.0, late_orphans=400, forged_size=200)
+
+# (spec, duration)
+_CASES = [
+    pytest.param(AttackSpec(kind), 1800.0, id=kind) for kind in ATTACK_KINDS
+] + [
+    pytest.param(AttackSpec(kind, flood_bytes=961, warmup_bytes=63, forged_size=203,
+                            warmup_interval=7.0), 1800.0, id=f"{kind}-unaligned")
+    for kind in ATTACK_KINDS
+] + [
+    # more than the 32,768 forged tags, so one counter wraps past 0xFFFF
+    pytest.param(_BURST_WRAP, 400.0, id="burst_injection-tag-wrap"),
+    pytest.param(_LATE_WRAP, 1800.0, id="late_phase-tag-wrap"),
+]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+@pytest.mark.parametrize("spec,duration", _CASES)
+def test_columnar_schedule_equals_the_per_emission_reference(spec, duration, seed):
+    sends = _victim_sends(seed)
+    rng, twin = random.Random(seed), random.Random(seed)
+    got = build_attack(spec, sends, duration, rng)
+    want = _ref_build_attack(spec, sends, duration, twin)
+    assert len(got) == len(want)
+    assert list(got) == want
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("spec,duration", [(_BURST_WRAP, 400.0), (_LATE_WRAP, 1800.0)])
+def test_tag_wrap_cases_reach_the_wrap(spec, duration):
+    tags = [em.tag for em in build_attack(spec, _victim_sends(1), duration, random.Random(1))]
+    assert 0xFFFF in tags and tags.count(0x8000) >= 2
+
+
+def test_schedule_indexes_like_a_list():
+    spec = AttackSpec("complete_flooding", start=900.0)
+    ems = build_attack(spec, [], 920.0, random.Random(3))
+    as_list = list(ems)
+    assert ems[-1] == as_list[-1]
+    assert ems[2] == as_list[2]
+    with pytest.raises(IndexError):
+        ems[len(ems)]

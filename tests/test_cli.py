@@ -235,3 +235,16 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "blacklist_steps" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["run", "matrix", "sensitivity"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_seed_count_below_one_is_a_usage_error(command, count, burst_cfg, tmp_path, capsys):
+    target = str(pathlib.Path(burst_cfg).parent) if command == "matrix" else burst_cfg
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, target, "--seed-count", count, "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed-count" in err and "must be >= 1" in err
+    assert not out.exists()

@@ -1,11 +1,22 @@
 """End-to-end runs of the event loop, checked against hand counts."""
 
+import dataclasses
+import hashlib
+import json
+import pathlib
+
 import pytest
 
-from pcsm.config import parse_config
+from pcsm.cli import _trace_lines
+from pcsm.config import STACKS, load_config, parse_config
 from pcsm.frag_codec import FragmentHeader, FragmentKind, encode_header
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.simulator import _legit_schedule, simulate
+from pcsm.simulator import _legit_schedule, plan_arrivals, simulate
+
+REPO = pathlib.Path(__file__).parent.parent
+DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "fixtures" / "run_digests.json").read_text(encoding="utf-8")
+)
 
 
 def _cfg(**over):
@@ -252,3 +263,85 @@ def test_arrival_goes_before_a_tick_at_the_same_instant():
     r = simulate(cfg, seed=1)
     assert [rec.time for rec in r.records] == [61.0, 66.5, 72.0]
     assert [rec.disposition for rec in r.records] == ["delivered"] * 3
+
+
+def _digest(result) -> str:
+    # the digest tests/test_run_digest.py pins: trace lines, then collected metrics
+    text = "".join(line + "\n" for line in _trace_lines(result))
+    text += json.dumps(collect(result).to_dict(), sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _other(cfg):
+    """A config that shares cfg's plan: the previous stack, or another trust cell."""
+    if cfg.name.startswith("base"):
+        trust = dataclasses.replace(cfg.trust, forgetting_factor=0.7, threshold=0.2)
+        return dataclasses.replace(cfg, name="other", trust=trust)
+    return dataclasses.replace(cfg, name="other", stack=STACKS[STACKS.index(cfg.stack) - 1])
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_shared_plan_reproduces_the_pinned_digest(case):
+    config, seed = case.rsplit(":", 1)
+    cfg, seed = load_config(REPO / config), int(seed)
+    plan = plan_arrivals(cfg, seed)
+    simulate(_other(cfg), seed, trace=True, plan=plan)
+    assert _digest(simulate(cfg, seed, trace=True, plan=plan)) == DIGESTS[case]
+
+
+def test_replaying_a_plan_leaves_it_unchanged():
+    a = load_config(REPO / "configs/pcsm-burst_injection.yaml")
+    b = dataclasses.replace(a, stack="secupan")
+    plan = plan_arrivals(a, 3)
+    before = list(plan.frames())
+    first = _digest(simulate(a, 3, trace=True, plan=plan))
+    other = _digest(simulate(b, 3, trace=True, plan=plan))
+    again = _digest(simulate(a, 3, trace=True, plan=plan))
+    assert first == again == _digest(simulate(a, 3, trace=True))
+    assert other == _digest(simulate(b, 3, trace=True))
+    assert list(plan.frames()) == before
+    assert all(frame.origin == a.attack.attacker for frame in before if frame.ref < 0)
+
+
+def test_plan_arrivals_are_time_sorted_and_match_the_records():
+    cfg = load_config(REPO / "configs/vanilla-late_phase.yaml")
+    plan = plan_arrivals(cfg, 2)
+    frames = list(plan.frames())
+    assert [f.arrival for f in frames] == sorted(f.arrival for f in frames)
+    records = simulate(cfg, 2, plan=plan).records
+    assert [(f.arrival, f.source, f.origin, f.kind) for f in frames] == [
+        (r.time, r.source, r.origin, r.kind) for r in records
+    ]
+
+
+@pytest.mark.parametrize(
+    "change,named",
+    [
+        (dict(duration=1700.0), "duration"),
+        (dict(senders=7), "senders"),
+        (dict(key=b"another-key"), "key"),
+        (dict(channel=dataclasses.replace(_cfg().channel, loss_rate=0.1)), "channel"),
+        (dict(attack=None), "attack"),
+    ],
+    ids=["duration", "senders", "key", "channel", "attack"],
+)
+def test_plan_for_another_world_is_rejected(change, named):
+    cfg = load_config(REPO / "configs/pcsm-early_frag1.yaml")
+    plan = plan_arrivals(cfg, 1)
+    with pytest.raises(ValueError, match=f"another {named}"):
+        simulate(dataclasses.replace(cfg, **change), 1, plan=plan)
+
+
+def test_plan_for_another_seed_is_rejected():
+    cfg = load_config(REPO / "configs/pcsm-early_frag1.yaml")
+    with pytest.raises(ValueError, match="seed 1, not 2"):
+        simulate(cfg, 2, plan=plan_arrivals(cfg, 1))
+
+
+def test_stack_settings_may_differ_under_one_plan():
+    cfg = load_config(REPO / "configs/pcsm-early_frag1.yaml")
+    plan = plan_arrivals(cfg, 1)
+    for change in (dict(name="x"), dict(stack="csm"),
+                   dict(buffer=dataclasses.replace(cfg.buffer, slots=4)),
+                   dict(trust=dataclasses.replace(cfg.trust, threshold=0.4))):
+        assert collect(simulate(dataclasses.replace(cfg, **change), 1, plan=plan)).conservation_ok
