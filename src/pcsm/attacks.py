@@ -8,10 +8,11 @@ randomness, so one seed yields an identical adversary schedule against
 every stack.
 
 A schedule keeps its emissions as columns: times, kinds, sources,
-sizes, tags and offsets in arrays, and the payload, nonce and signature
-bytes as slices of one blob that holds the builder's random draws in
-call order.  Indexing or iterating it builds AttackEmission records,
-so a caller that needs only the columns never builds one.
+sizes, tags, offsets and replay victims in arrays, and the payload,
+nonce and signature bytes as slices of one blob that holds the
+builder's random draws in call order.  Indexing or iterating it builds
+AttackEmission records, so a caller that needs only the columns never
+builds one.
 
 Attacks that rely on the adversary's own radio identity (everything
 except header replay) are preceded by a low-rate warmup phase of
@@ -19,7 +20,7 @@ innocuous single-fragment datagrams, which builds a normal-looking
 behavioral record before the attack turns on.  The header replay
 builder instead captures recent first-fragment headers it observed
 arriving at the root and re-emits them byte-exactly with fresh bogus
-payloads.
+payloads; the schedule names the send each header came from.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class AttackEmission(NamedTuple):
     payload: bytes = b""
     nonce: bytes = b""
     sig: bytes = bytes(8)
-    # set when replaying a captured header: the original first-fragment
-    # payload, needed to reconstruct the signature the victim sent
-    replayed_payload: bytes | None = None
+    # a captured header's replay: the index of the legit send whose first
+    # fragment's header goes out again, signature and all; -1 otherwise
+    victim: int = -1
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,13 @@ class AttackSchedule(Sequence):
         self.sizes = array("i")
         self.tags = array("i")
         self.offsets = array("i")
-        # blob positions; nonce_at is -1 for an emission with no nonce of its own
+        # blob positions; -1 for an emission with no nonce or signature of its own
         self.payload_at = array("i")
         self.payload_len = array("i")
         self.nonce_at = array("i")
         self.sig_at = array("i")
-        # emission index -> the legit send a header replay copies
-        self.victims: dict[int, ScheduledSend] = {}
+        # the legit send a header replay copies, or -1
+        self.victims = array("i")
         self.blob = bytearray()
         self._rng = rng
         self._pending = 0
@@ -177,9 +178,7 @@ class AttackSchedule(Sequence):
             self.blob += self._rng.getrandbits(8 * n).to_bytes(n, "little")
 
     def add(self, time, kind, source, size, tag, offset, payload_at, payload_len,
-            nonce_at=-1, sig_at=-1, victim=None) -> None:
-        if victim is not None:
-            self.victims[len(self.times)] = victim
+            nonce_at=-1, sig_at=-1, victim=-1) -> None:
         self.times.append(time)
         self.kinds.append(kind)
         self.sources.append(source)
@@ -190,10 +189,11 @@ class AttackSchedule(Sequence):
         self.payload_len.append(payload_len)
         self.nonce_at.append(nonce_at)
         self.sig_at.append(sig_at)
+        self.victims.append(victim)
 
     def _columns(self) -> list[array]:
         return [self.times, self.kinds, self.sources, self.sizes, self.tags, self.offsets,
-                self.payload_at, self.payload_len, self.nonce_at, self.sig_at]
+                self.payload_at, self.payload_len, self.nonce_at, self.sig_at, self.victims]
 
     def sort(self) -> AttackSchedule:
         """Stable sort by time, in place."""
@@ -202,9 +202,6 @@ class AttackSchedule(Sequence):
         if any(i != j for i, j in enumerate(order)):
             for col in self._columns():
                 col[:] = array(col.typecode, map(col.__getitem__, order))
-            if self.victims:
-                place = {old: new for new, old in enumerate(order)}
-                self.victims = {place[i]: v for i, v in self.victims.items()}
         return self
 
     def cut(self, end: float) -> AttackSchedule:
@@ -213,7 +210,6 @@ class AttackSchedule(Sequence):
         n = bisect_left(self.times, end)
         for col in self._columns():
             del col[n:]
-        self.victims = {i: v for i, v in self.victims.items() if i < n}
         return self
 
     def __len__(self) -> int:
@@ -227,16 +223,12 @@ class AttackSchedule(Sequence):
         kind = KIND_CODES[self.kinds[i]]
         at = self.payload_at[i]
         payload = bytes(blob[at : at + self.payload_len[i]])
-        victim = self.victims.get(i)
-        if victim is not None:
-            return AttackEmission(self.times[i], kind, self.sources[i], self.sizes[i],
-                                  self.tags[i], self.offsets[i], payload, victim.nonce,
-                                  bytes(8), victim.payload[:MAX_FRAGMENT_PAYLOAD])
         nonce_at, sig_at = self.nonce_at[i], self.sig_at[i]
         nonce = bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b""
+        sig = bytes(blob[sig_at : sig_at + 8]) if sig_at >= 0 else bytes(8)
         return AttackEmission(self.times[i], kind, self.sources[i], self.sizes[i],
-                              self.tags[i], self.offsets[i], payload, nonce,
-                              bytes(blob[sig_at : sig_at + 8]))
+                              self.tags[i], self.offsets[i], payload, nonce, sig,
+                              self.victims[i])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -319,21 +311,19 @@ def build_header_replay(spec, legit_sends, duration, rng) -> AttackSchedule:
     fragment actually arrived there enter the capture pool.  Each
     replay pairs the stolen header with a fresh bogus payload.
     """
-    observed = [
-        s for s in legit_sends
-        if not (s.lost and s.lost[0])
-    ]
+    observed = [i for i, s in enumerate(legit_sends) if not (s.lost and s.lost[0])]
     out = AttackSchedule(rng)
     t = spec.start
     n = 0
     while t < duration:
-        pool = [s for s in observed if s.time < t][-spec.replay_pool:]
+        pool = [i for i in observed if legit_sends[i].time < t][-spec.replay_pool:]
         if pool:
-            victim = pool[n % len(pool)]
+            index = pool[n % len(pool)]
+            victim = legit_sends[index]
             size = len(victim.payload)
             payload_len = min(MAX_FRAGMENT_PAYLOAD, size)
             out.add(t, _FRAG1, victim.source, size, victim.tag, 0,
-                    out.draw(payload_len), payload_len, victim=victim)
+                    out.draw(payload_len), payload_len, victim=index)
             n += 1
         t += spec.replay_interval
     return out

@@ -5,10 +5,10 @@ Three stacks bracket the secured pipeline:
 - VanillaStack admits on structural criteria alone; slots are
   first-come-first-served and well-formed garbage reassembles fully.
 - CsmLikeStack adds a per-source failure counter: a source whose
-  reassemblies fail or time out three times in a row is blocked for a
-  while.  There is no per-fragment validation, so replayed or forged
-  fragments from a source in good standing pass untouched, and blocks
-  act after radio reception (no RX savings).
+  reassemblies time out three times in a row is blocked for a while.
+  There is no per-fragment validation, so replayed or forged fragments
+  from a source in good standing pass untouched, and blocks act after
+  radio reception (no RX savings).
 - SecuPanLikeStack authenticates every fragment independently with a
   truncated per-fragment MAC before buffering, at a higher CPU price
   per fragment, and rejects duplicate (source, tag, nonce) first
@@ -18,7 +18,7 @@ Three stacks bracket the secured pipeline:
 
 All three subclass ReceiverStack, as PredictiveCsmStack does, and
 override only the gates they have, so the simulator treats stacks
-uniformly.
+uniformly.  STACKS, at the end, maps each config name to its class.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hmac
 import struct
 
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
-from .reassembly import ReceiverStack, ReplayLedger
+from .reassembly import PredictiveCsmStack, ReceiverStack, ReplayLedger
 
 # CPU milliseconds per independent per-fragment MAC (sign or verify).
 MAC_CPU_MS = 4.0
@@ -85,21 +85,19 @@ class CsmLikeStack(ReceiverStack):
     spoofed trusted identity passes until its sessions start failing.
     """
 
+    FAILURE_LIMIT = 3
     # bench/layers.py wraps these in each stack class's own namespace
     admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
-    def __init__(
-        self,
-        slots: int = 2,
-        timeout: float = 10.0,
-        failure_limit: int = 3,
-        block_duration: float = 60.0,
-    ):
+    def __init__(self, slots: int = 2, timeout: float = 10.0, block_duration: float = 60.0):
         super().__init__(slots, timeout)
-        self.failure_limit = failure_limit
         self.block_duration = block_duration
         self.failures: dict[int, int] = {}
         self.blocked_until: dict[int, float] = {}
+
+    @classmethod
+    def from_config(cls, cfg, trace: bool) -> CsmLikeStack:
+        return cls(cfg.buffer.slots, cfg.buffer.timeout, cfg.trust.block_duration)
 
     def is_blocked(self, source: int, now: float) -> bool:
         until = self.blocked_until.get(source)
@@ -117,7 +115,7 @@ class CsmLikeStack(ReceiverStack):
     def _expired(self, source: int, now: float) -> None:
         count = self.failures.get(source, 0) + 1
         self.failures[source] = count
-        if count >= self.failure_limit:
+        if count >= self.FAILURE_LIMIT:
             if source not in self.blocked_until:
                 self.block_events[source] = self.block_events.get(source, 0) + 1
             self.blocked_until[source] = now + self.block_duration
@@ -130,21 +128,19 @@ class SecuPanLikeStack(ReceiverStack):
     """Per-fragment MAC verification before buffering, no behavioral trust."""
 
     VERIFY_CPU_MS = MAC_CPU_MS
+    SIGNER = "mac"
 
     # bench/layers.py wraps these in each stack class's own namespace
     admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
-    def __init__(
-        self,
-        key: bytes,
-        slots: int = 2,
-        timeout: float = 10.0,
-        replay_horizon: float = 60.0,
-        replay_capacity: int = 64,
-    ):
+    def __init__(self, key: bytes, slots: int = 2, timeout: float = 10.0):
         super().__init__(slots, timeout)
         self.key = key
-        self.ledger = ReplayLedger(replay_horizon, replay_capacity)
+        self.ledger = ReplayLedger()
+
+    @classmethod
+    def from_config(cls, cfg, trace: bool) -> SecuPanLikeStack:
+        return cls(cfg.key, cfg.buffer.slots, cfg.buffer.timeout)
 
     def _authentic(self, frag: Fragment) -> bool:
         ext = frag.header.ext
@@ -157,3 +153,10 @@ class SecuPanLikeStack(ReceiverStack):
             h.datagram_offset, nonce, frag.payload,
         )
         return hmac.compare_digest(expected, ext.signature)
+
+
+# Every receiver stack by its config name, in report order.
+STACKS: dict[str, type[ReceiverStack]] = {
+    "vanilla": VanillaStack, "csm": CsmLikeStack, "secupan": SecuPanLikeStack,
+    "pcsm": PredictiveCsmStack,
+}

@@ -14,11 +14,12 @@ from dataclasses import Field, dataclass, field, fields
 
 import yaml
 
+from . import baselines
 from .attacks import ATTACK_KINDS, AttackSpec
 from .frag_codec import MAX_DATAGRAM_SIZE, MAX_FRAGMENT_PAYLOAD
 from .trust_engine import TrustParams
 
-STACKS = ("vanilla", "csm", "secupan", "pcsm")
+STACKS = tuple(baselines.STACKS)  # names in report order
 
 SENSITIVITY_LAMBDAS = (0.7, 0.8, 0.9, 0.95)
 SENSITIVITY_THETAS = (0.2, 0.3, 0.4)

@@ -45,7 +45,7 @@ SIGNATURE_LEN = 8
 # Non-final fragments must carry a multiple of 8 payload bytes and the
 # offset field counts 8-byte units, so 96 (= 12 units) is the largest
 # legal slice under the 127-byte frame budget.
-_OFFSET_UNIT = 8
+OFFSET_UNIT = 8
 
 
 class CodecError(ValueError):
@@ -127,9 +127,9 @@ def _check_header(h: FragmentHeader) -> None:
     else:
         if not 0 <= h.datagram_offset <= 0xFF:
             raise InvalidHeader(f"datagram_offset {h.datagram_offset} outside [0, 255]")
-        if h.datagram_offset * _OFFSET_UNIT >= h.datagram_size:
+        if h.datagram_offset * OFFSET_UNIT >= h.datagram_size:
             raise InvalidHeader(
-                f"offset {h.datagram_offset} x {_OFFSET_UNIT} must fall inside "
+                f"offset {h.datagram_offset} x {OFFSET_UNIT} must fall inside "
                 f"datagram_size {h.datagram_size}"
             )
     if h.ext is not None:
@@ -193,9 +193,9 @@ def _parse_base(data: bytes) -> tuple[FragmentKind, int, int, int, int]:
         if n < FRAGN_BASE_LEN:
             raise Truncated(f"FragN base header needs {FRAGN_BASE_LEN} bytes, got {n}")
         offset = data[4]
-        if offset * _OFFSET_UNIT >= size:
+        if offset * OFFSET_UNIT >= size:
             raise InvalidHeader(
-                f"offset {offset} x {_OFFSET_UNIT} must fall inside datagram_size {size}"
+                f"offset {offset} x {OFFSET_UNIT} must fall inside datagram_size {size}"
             )
         return FragmentKind.FRAGN, size, (data[2] << 8) | data[3], offset, FRAGN_BASE_LEN
     raise NotAFragment(f"dispatch {dispatch:05b} is not a fragmentation header")
@@ -256,6 +256,6 @@ def fragment_packet(payload: bytes, tag: int, with_extension: bool) -> list[Frag
                  payload[:MAX_FRAGMENT_PAYLOAD])
     ]
     for pos in range(MAX_FRAGMENT_PAYLOAD, size, MAX_FRAGMENT_PAYLOAD):
-        header = FragmentHeader(FragmentKind.FRAGN, size, tag, pos // _OFFSET_UNIT, extn)
+        header = FragmentHeader(FragmentKind.FRAGN, size, tag, pos // OFFSET_UNIT, extn)
         frags.append(Fragment(header, payload[pos : pos + MAX_FRAGMENT_PAYLOAD]))
     return frags

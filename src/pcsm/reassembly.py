@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .frag_codec import Fragment, FragmentKind, NONCE_LEN
+from .frag_codec import NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
 from .hash_chain import HashChainState, seed_chain, validate_fragment
 from .trust_engine import ObservationTracker, TrustEngine, TrustParams
 
@@ -104,14 +104,22 @@ class ReassemblySession:
     tag: int
     expected_size: int
     started_at: float
-    nonce: bytes
     chain: HashChainState | None
-    received: dict[int, bytes] = field(default_factory=dict)
+    # stored in arrival order; no two share a byte
     fragments: list[Fragment] = field(default_factory=list)
     received_bytes: int = 0
 
+    def overlaps(self, frag: Fragment) -> bool:
+        """Whether frag shares a byte with a stored fragment."""
+        start = frag.header.datagram_offset * OFFSET_UNIT
+        end = start + len(frag.payload)
+        for stored in self.fragments:
+            at = stored.header.datagram_offset * OFFSET_UNIT
+            if at < end and start < at + len(stored.payload):
+                return True
+        return False
+
     def store(self, frag: Fragment) -> None:
-        self.received[frag.header.datagram_offset] = frag.payload
         self.fragments.append(frag)
         self.received_bytes += len(frag.payload)
 
@@ -120,7 +128,8 @@ class ReassemblySession:
         return self.received_bytes == self.expected_size
 
     def assemble(self) -> bytes:
-        return b"".join(self.received[o] for o in sorted(self.received))
+        ordered = sorted(self.fragments, key=lambda f: f.header.datagram_offset)
+        return b"".join(f.payload for f in ordered)
 
 
 class ReassemblyBuffer:
@@ -194,10 +203,14 @@ class ReceiverStack:
     ledger; without one it cannot be told from tag wrap-around and is a
     structural DUPLICATE.  Only a session that holds a chain is checked,
     and each chain seed or verify costs HASH_CPU_MS.  VERIFY_CPU_MS is
-    charged on every outcome past the blocked-source gate.
+    charged on every outcome past the blocked-source gate.  A continuation
+    that passes every check but overlaps stored bytes is a DUPLICATE, with
+    no trust effect.
     """
 
     VERIFY_CPU_MS = 0.0
+    # how this stack's senders sign a train: None (no extension), "chain" or "mac"
+    SIGNER: str | None = None
     ledger: ReplayLedger | None = None
     trust_history: list[tuple[float, int, float]] | None = None
 
@@ -207,6 +220,11 @@ class ReceiverStack:
         self.evictions: list[ReassemblySession] = []
         # per-source count of transitions into the blocked state
         self.block_events: dict[int, int] = {}
+
+    @classmethod
+    def from_config(cls, cfg, trace: bool) -> ReceiverStack:
+        """The stack a config.ScenarioConfig asks for; trace keeps the trust history, if any."""
+        return cls(cfg.buffer.slots, cfg.buffer.timeout)
 
     def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
         """Radio-level filter on link source and dispatch kind: True drops the frame."""
@@ -270,7 +288,7 @@ class ReceiverStack:
             chain = self._seed(frag.payload, nonce)
             if chain is not None:
                 cpu += HASH_CPU_MS
-            session = ReassemblySession(src, tag, header.datagram_size, now, nonce, chain)
+            session = ReassemblySession(src, tag, header.datagram_size, now, chain)
             session.store(frag)
             if not session.complete:
                 buffer.open(session)
@@ -280,14 +298,17 @@ class ReceiverStack:
             if session is None:
                 self._rejected(src, now, False)
                 return _dropped(DropReason.NO_SESSION, cpu)
-            if session.chain is not None:
+            chain = session.chain
+            if chain is not None:
                 cpu += HASH_CPU_MS
                 signature = ext.signature if ext is not None else b""
-                ok, chain = validate_fragment(session.chain, frag.payload, signature)
+                ok, chain = validate_fragment(chain, frag.payload, signature)
                 if not ok:
                     self._rejected(src, now, True)
                     return _dropped(DropReason.BAD_SIGNATURE, cpu)
-                session.chain = chain
+            if session.overlaps(frag):
+                return _dropped(DropReason.DUPLICATE, cpu)
+            session.chain = chain
             session.store(frag)
             if not session.complete:
                 return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
@@ -347,6 +368,7 @@ class PredictiveCsmStack(ReceiverStack):
       purged immediately (counted as timeouts, with no extra penalty).
     """
 
+    SIGNER = "chain"
     # bench/layers.py wraps these in each stack class's own namespace
     admit, tick, flush = ReceiverStack.admit, ReceiverStack.tick, ReceiverStack.flush
 
@@ -357,17 +379,20 @@ class PredictiveCsmStack(ReceiverStack):
         nominal_interval: float = 90.0,
         slots: int = 2,
         timeout: float = 10.0,
-        replay_horizon: float = 60.0,
-        replay_capacity: int = 64,
         keep_trust_history: bool = False,
     ):
         super().__init__(slots, timeout)
         self.key = key
         self.engine = TrustEngine(trust, nominal_interval, keep_trust_history)
         self.tracker = ObservationTracker(nominal_interval)
-        self.ledger = ReplayLedger(replay_horizon, replay_capacity)
+        self.ledger = ReplayLedger()
         self.block_events = self.engine.block_events
         self.trust_history = self.engine.history
+
+    @classmethod
+    def from_config(cls, cfg, trace: bool) -> PredictiveCsmStack:
+        return cls(cfg.key, cfg.trust, cfg.traffic.send_interval, cfg.buffer.slots,
+                   cfg.buffer.timeout, trace)
 
     def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
         """Radio-level filter: True when the source is blacklisted.

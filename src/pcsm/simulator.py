@@ -40,7 +40,8 @@ record, final from the start ("untrusted", prefiltered), and costs
 nothing more.  Any other frame gets one record that the stack's outcome
 completes, and a fragment built for this run: a legit one from the
 plan's signed fragments, an adversary one from its schedule entry in
-the wire shape of the stack under test.
+the wire shape of the stack under test.  A replayed header is the
+victim's own signed first fragment, so that header is taken as sent.
 """
 
 from __future__ import annotations
@@ -53,14 +54,8 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .attacks import KIND_CODES, AttackEmission, AttackSchedule, ScheduledSend, build_attack
-from .baselines import (
-    MAC_CPU_MS,
-    CsmLikeStack,
-    SecuPanLikeStack,
-    VanillaStack,
-    fragment_mac,
-    mac_sign_fragments,
-)
+# fragment_mac and seed_chain are unused here; bench/layers.py wraps both when tracing
+from .baselines import MAC_CPU_MS, STACKS, fragment_mac, mac_sign_fragments
 from .config import ScenarioConfig
 from .frag_codec import (
     MAX_FRAGMENT_PAYLOAD,
@@ -71,8 +66,8 @@ from .frag_codec import (
     fragment_packet,
     header_length,
 )
-from .hash_chain import chain_tag, seed_chain, sign_fragments
-from .reassembly import HASH_CPU_MS, AdmitStatus, PredictiveCsmStack
+from .hash_chain import seed_chain, sign_fragments
+from .reassembly import HASH_CPU_MS, AdmitStatus
 
 PROPAGATION_DELAY = 0.001
 TICK_INTERVAL = 1.0
@@ -177,22 +172,6 @@ def _corrupt_payload(payload: bytes) -> bytes:
     return payload[:-1] + bytes([payload[-1] ^ 0x55])
 
 
-def _build_stack(cfg: ScenarioConfig, trace: bool):
-    slots, timeout = cfg.buffer.slots, cfg.buffer.timeout
-    if cfg.stack == "pcsm":
-        return PredictiveCsmStack(
-            cfg.key, cfg.trust, cfg.traffic.send_interval, slots=slots, timeout=timeout,
-            keep_trust_history=trace,
-        )
-    if cfg.stack == "vanilla":
-        return VanillaStack(slots, timeout)
-    if cfg.stack == "csm":
-        return CsmLikeStack(slots, timeout, block_duration=cfg.trust.block_duration)
-    if cfg.stack == "secupan":
-        return SecuPanLikeStack(cfg.key, slots, timeout)
-    raise ValueError(f"unknown stack: {cfg.stack!r}")
-
-
 def _legit_schedule(cfg: ScenarioConfig, seed: int) -> list[ScheduledSend]:
     """Per-sender periodic datagrams with staggered phases and channel fates."""
     rng_data = random.Random(f"{seed}:payload")
@@ -253,6 +232,8 @@ class ArrivalPlan(NamedTuple):
     world: tuple
     key: bytes
     sends: list[ScheduledSend]
+    # index of each send's first fragment among the legit fragments
+    firsts: array
     attacker: int | None
     attack: AttackSchedule | None
     sent_datagrams: dict[int, int]
@@ -296,6 +277,16 @@ class ArrivalPlan(NamedTuple):
 _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
 
 
+def signed_fragments(key: bytes, send: ScheduledSend, signer: str | None) -> list[Fragment]:
+    """One send's fragments as its sender puts them on the air under signer."""
+    frags = fragment_packet(send.payload, send.tag, with_extension=signer is not None)
+    if signer == "chain":
+        sign_fragments(key, frags, send.nonce)
+    elif signer == "mac":
+        mac_sign_fragments(key, frags, send.nonce, send.source)
+    return frags
+
+
 def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
     with_ext = signer is not None
     sign_cpu_ms = _SIGN_CPU_MS[signer]
@@ -303,11 +294,7 @@ def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
     cpu_ms = dict.fromkeys(plan.sent_fragments, 0.0)
     tx_s = dict(cpu_ms)
     for send in plan.sends:
-        frags = fragment_packet(send.payload, send.tag, with_extension=with_ext)
-        if signer == "chain":
-            sign_fragments(plan.key, frags, send.nonce)
-        elif signer == "mac":
-            mac_sign_fragments(plan.key, frags, send.nonce, send.source)
+        frags = signed_fragments(plan.key, send, signer)
         src = send.source
         for frag in frags:
             tx_s[src] += airtime(header_length(frag.header.kind, with_ext) + len(frag.payload))
@@ -337,8 +324,10 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
 
     # legitimate traffic, fragment by fragment in send order
     legit_corrupt = bytearray()
+    firsts = array("i")
     pacing = cfg.traffic.pacing
     for send in sends:
+        firsts.append(len(legit_corrupt))
         src = send.source
         sent_datagrams[src] += 1
         sent_fragments[src] += len(send.lost)
@@ -374,7 +363,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     times, sources, kinds, refs = (
         array(col.typecode, map(col.__getitem__, order)) for col in (times, sources, kinds, refs)
     )
-    return ArrivalPlan(seed, world(cfg), cfg.key, sends, attacker, attack, sent_datagrams,
+    return ArrivalPlan(seed, world(cfg), cfg.key, sends, firsts, attacker, attack, sent_datagrams,
                        sent_fragments, times, sources, kinds, refs, legit_corrupt, attack_corrupt,
                        {})
 
@@ -392,11 +381,9 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
         plan = plan_arrivals(cfg, seed)
     else:
         plan.check(cfg, seed)
-    stack = _build_stack(cfg, trace)
-    is_pcsm = cfg.stack == "pcsm"
-    signer = "chain" if is_pcsm else "mac" if cfg.stack == "secupan" else None
-    with_ext = signer is not None
-    wire = plan.wire(signer)
+    stack = STACKS[cfg.stack].from_config(cfg, trace)
+    with_ext = stack.SIGNER is not None
+    wire = plan.wire(stack.SIGNER)
 
     attacker = plan.attacker
     ledgers = {ROOT: EnergyLedger()}
@@ -417,7 +404,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     filter_frame = stack.filter_frame
     kind_of = KIND_CODES
     header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
-    legit, legit_corrupt = wire.fragments, plan.legit_corrupt
+    legit, legit_corrupt, firsts = wire.fragments, plan.legit_corrupt, plan.firsts
     attack, attack_corrupt = plan.attack, plan.attack_corrupt
 
     def _mark(sessions, disposition):
@@ -449,7 +436,11 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             corrupt = legit_corrupt[ref]
             origin = source
         else:
-            frag = _materialize_emission(attack[~ref], cfg, with_ext, is_pcsm)
+            em = attack[~ref]
+            if em.victim < 0:
+                frag = _materialize_emission(em, with_ext)
+            else:
+                frag = Fragment(legit[firsts[em.victim]].header, em.payload, source)
             corrupt = attack_corrupt[~ref]
             origin = attacker
         rec = record(now, source, origin, kind, "stored")
@@ -506,23 +497,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     )
 
 
-def _materialize_emission(
-    em: AttackEmission, cfg: ScenarioConfig, with_ext: bool, is_pcsm: bool
-) -> Fragment:
-    """Give a schedule entry the wire shape the stack under test expects."""
-    ext = None
-    if with_ext:
-        if em.replayed_payload is not None:
-            if is_pcsm:
-                sig = chain_tag(seed_chain(cfg.key, em.replayed_payload, em.nonce))
-            else:
-                sig = fragment_mac(
-                    cfg.key, em.claimed_source, em.kind, em.datagram_size,
-                    em.tag, em.offset, em.nonce, em.replayed_payload,
-                )
-        else:
-            sig = em.sig
-        nonce = em.nonce if em.kind is FragmentKind.FRAG1 else b""
-        ext = ExtensionFields(255, nonce, sig)
+def _materialize_emission(em: AttackEmission, with_ext: bool) -> Fragment:
+    """Give a forged schedule entry the wire shape the stack under test expects."""
+    ext = ExtensionFields(255, em.nonce, em.sig) if with_ext else None
     header = FragmentHeader(em.kind, em.datagram_size, em.tag, em.offset, ext)
     return Fragment(header, em.payload, source=em.claimed_source)

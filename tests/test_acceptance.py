@@ -21,7 +21,7 @@ from pcsm.analytic import (
     trust_closed_form,
 )
 from pcsm.cli import _sweep
-from pcsm.config import load_config
+from pcsm.config import STACKS, load_config
 from pcsm.frag_codec import (
     MAX_DATAGRAM_SIZE,
     ExtensionFields,
@@ -49,7 +49,6 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 ATTACKS = ("early_frag1", "complete_flooding", "header_replay",
            "burst_injection", "late_phase")
-STACKS = ("vanilla", "csm", "secupan", "pcsm")
 SEEDS = tuple(range(1, 16))
 
 

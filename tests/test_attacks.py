@@ -86,16 +86,17 @@ def test_replay_reuses_observed_headers_with_fresh_payloads():
     spec = AttackSpec("header_replay", start=55.0)
     ems = build_header_replay(spec, sends, 70.0, random.Random(5))
     assert [e.time for e in ems] == pytest.approx([55.0, 58.0, 61.0, 64.0, 67.0])
-    pool = sends[-4:]  # capture pool holds the four most recent
+    # capture pool holds the four most recent; the emission names its send
     for i, e in enumerate(ems):
-        victim = pool[i % 4]
+        victim = sends[1 + i % 4]
+        assert e.victim == 1 + i % 4
         assert e.claimed_source == victim.source
         assert e.tag == victim.tag
-        assert e.nonce == victim.nonce
         assert e.datagram_size == len(victim.payload)
-        assert e.replayed_payload == victim.payload[:96]
         assert e.payload != victim.payload[:96]
         assert e.kind is FragmentKind.FRAG1
+        # the header's nonce and signature are the victim's, taken from its send
+        assert (e.nonce, e.sig) == (b"", bytes(8))
 
 
 def test_replay_pool_excludes_sends_lost_before_the_root():
@@ -302,7 +303,7 @@ def _ref_header_replay(spec, legit_sends, duration, rng):
             payload = rng.randbytes(min(MAX_FRAGMENT_PAYLOAD, len(victim.payload)))
             out.append(AttackEmission(
                 t, FragmentKind.FRAG1, victim.source, len(victim.payload), victim.tag, 0,
-                payload, victim.nonce, bytes(8), victim.payload[:MAX_FRAGMENT_PAYLOAD],
+                payload, b"", bytes(8), legit_sends.index(victim),
             ))
             n += 1
         t += spec.replay_interval

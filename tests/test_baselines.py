@@ -100,7 +100,7 @@ def _timeout_one_session(stack, source, tag, t0):
 
 
 def test_csm_blocks_after_three_consecutive_timeouts():
-    stack = CsmLikeStack(failure_limit=3, block_duration=60.0)
+    stack = CsmLikeStack(block_duration=60.0)
     for i in range(3):
         res, evicted = _timeout_one_session(stack, 9, 100 + i, 20.0 * i)
         assert res.status is AdmitStatus.STORED
@@ -116,7 +116,7 @@ def test_csm_blocks_after_three_consecutive_timeouts():
 
 
 def test_csm_block_expires_and_counter_resets():
-    stack = CsmLikeStack(failure_limit=3, block_duration=60.0)
+    stack = CsmLikeStack(block_duration=60.0)
     for i in range(3):
         _timeout_one_session(stack, 9, 100 + i, 20.0 * i)
     assert stack.is_blocked(9, 60.0)
@@ -129,7 +129,7 @@ def test_csm_block_expires_and_counter_resets():
 
 
 def test_csm_delivery_resets_failure_counter():
-    stack = CsmLikeStack(failure_limit=3)
+    stack = CsmLikeStack()
     _timeout_one_session(stack, 4, 100, 0.0)
     _timeout_one_session(stack, 4, 101, 20.0)
     assert stack.failures[4] == 2
@@ -156,7 +156,7 @@ def test_csm_admits_spoofed_fragments_without_validation():
 
 def test_csm_fresh_identity_gets_free_datagrams_before_block():
     """Each new claimed source is admitted at least once before any block forms."""
-    stack = CsmLikeStack(failure_limit=3)
+    stack = CsmLikeStack()
     for i, src in enumerate(range(50, 55)):
         frag = _plain_train(bytes(200), 900 + i, src)[0]
         assert stack.admit(frag, 100.0 + i * 20).status is AdmitStatus.STORED
@@ -164,7 +164,7 @@ def test_csm_fresh_identity_gets_free_datagrams_before_block():
 
 
 def test_csm_multisource_evictions_attributed_separately():
-    stack = CsmLikeStack(slots=4, failure_limit=3)
+    stack = CsmLikeStack(slots=4)
     for src in (5, 6):
         frag = _plain_train(bytes(200), src, src)[0]
         stack.admit(frag, 0.0)

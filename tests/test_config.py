@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from pcsm import baselines
 from pcsm.config import (
     SENSITIVITY_LAMBDAS,
     SENSITIVITY_THETAS,
@@ -13,7 +14,7 @@ from pcsm.config import (
     load_config,
     parse_config,
 )
-from pcsm.simulator import _build_stack
+from pcsm.reassembly import PredictiveCsmStack
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,7 +41,7 @@ def test_trust_params_mapping_uses_send_interval_as_nominal():
             "traffic": {"send_interval": 45.0},
         }
     )
-    stack = _build_stack(cfg, trace=False)
+    stack = PredictiveCsmStack.from_config(cfg, trace=False)
     assert stack.engine.params.forgetting_factor == 0.8
     assert stack.engine.params.threshold == 0.2
     assert stack.engine.state(1).ewma_inter_arrival == 45.0
@@ -172,6 +173,21 @@ def test_all_stack_tokens_accepted():
     for stack in STACKS:
         assert parse_config({"name": "s", "stack": stack}).stack == stack
     assert STACKS == ("vanilla", "csm", "secupan", "pcsm")
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_every_stack_builds_from_its_config_section(name):
+    cfg = parse_config({"name": "s", "stack": name, "buffer": {"slots": 3, "timeout": 4.0},
+                        "trust": {"block_duration": 30.0}})
+    cls = baselines.STACKS[name]
+    stack = cls.from_config(cfg, trace=True)
+    assert type(stack) is cls
+    assert (stack.buffer.slots, stack.buffer.timeout) == (3, 4.0)
+    if name == "csm":
+        assert stack.block_duration == 30.0
+    if name == "pcsm":
+        assert stack.engine.params.block_duration == 30.0
+        assert stack.trust_history == []
 
 
 def test_load_config_reads_yaml_and_names_from_filename(tmp_path):

@@ -7,7 +7,7 @@ import statistics
 
 import pytest
 
-from pcsm.config import parse_config
+from pcsm.config import STACKS, parse_config
 from pcsm.frag_codec import FragmentKind
 from pcsm.attacks import ATTACK_KINDS
 from pcsm.metrics import (
@@ -241,7 +241,7 @@ def _reference_collect(result):
 
 
 @pytest.mark.parametrize("kind", ("none",) + ATTACK_KINDS)
-@pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
+@pytest.mark.parametrize("stack", STACKS)
 def test_collect_matches_the_multi_pass_reference(stack, kind):
     attack = {"kind": kind} if kind == "none" else {"kind": kind, "start": 600.0}
     cfg = parse_config({"stack": stack, "duration": 1000.0, "attack": attack}, default_name="ref")

@@ -84,7 +84,8 @@ def test_replay_within_horizon_rejected_without_penalty():
 
 
 def test_replay_beyond_horizon_passes_ledger_but_flags_sequence():
-    stack = _stack(replay_horizon=60.0)
+    stack = _stack()
+    assert stack.ledger.horizon == 60.0
     frags = _train(b"z" * 96, 6, 5, b"\x01\x02\x03\x04")
     assert stack.admit(frags[0], 300.0).status is AdmitStatus.DELIVERED
     replay = Fragment(frags[0].header, frags[0].payload, source=5)
@@ -209,7 +210,7 @@ def test_untrusted_attacker_leaves_slot_free_for_legit_traffic():
 def test_availability_and_time_average():
     buf = ReassemblyBuffer(slots=2, timeout=10.0)
     assert buf.availability() == 1.0
-    session = ReassemblySession(1, 1, 200, 0.0, bytes(4), None)
+    session = ReassemblySession(1, 1, 200, 0.0, None)
     buf.advance(0.0)
     buf.open(session)
     assert buf.availability() == 0.5

@@ -7,9 +7,18 @@ import pathlib
 
 import pytest
 
+from pcsm import baselines
+from pcsm.baselines import fragment_mac
 from pcsm.cli import _trace_lines
 from pcsm.config import STACKS, load_config, parse_config
-from pcsm.frag_codec import FragmentHeader, FragmentKind, encode_header
+from pcsm.frag_codec import (
+    MAX_FRAGMENT_PAYLOAD,
+    ExtensionFields,
+    FragmentHeader,
+    FragmentKind,
+    encode_header,
+)
+from pcsm.hash_chain import chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
 from pcsm.simulator import _legit_schedule, plan_arrivals, simulate
 
@@ -50,7 +59,7 @@ def test_schedule_respects_duration_boundary():
 
 
 def test_single_fragment_datagrams_deliver_everywhere():
-    for stack in ("vanilla", "csm", "secupan", "pcsm"):
+    for stack in STACKS:
         r = simulate(_cfg(stack=stack, traffic={"payload_bytes": 64}), seed=1)
         assert len(r.delivered) == 6, stack
         assert all(d.intact for d in r.delivered)
@@ -72,7 +81,7 @@ def test_stacks_share_channel_fates_per_seed():
     # vanish no matter which stack is listening.
     results = {
         stack: simulate(_cfg(stack=stack, channel={"loss_rate": 0.2}), seed=3)
-        for stack in ("vanilla", "csm", "secupan", "pcsm")
+        for stack in STACKS
     }
     arrival_sets = {
         stack: [(rec.time, rec.source) for rec in r.records]
@@ -138,9 +147,7 @@ def test_warmup_traffic_alone_is_never_blocked():
     assert r.block_events == {}
 
 
-@pytest.mark.parametrize(
-    "stack", ["vanilla", "csm", "secupan", "pcsm"]
-)
+@pytest.mark.parametrize("stack", STACKS)
 @pytest.mark.parametrize("kind", ["complete_flooding", "header_replay"])
 def test_every_record_reaches_a_terminal_state(stack, kind):
     cfg = parse_config(
@@ -152,7 +159,7 @@ def test_every_record_reaches_a_terminal_state(stack, kind):
     assert collect(r).conservation_ok
 
 
-@pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
+@pytest.mark.parametrize("stack", STACKS)
 def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
     # 2047 fills the 11-bit size field; a flood that long still ends at
     # an offset that fits the 8-bit offset field.  A warmup datagram is one
@@ -163,7 +170,7 @@ def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
     assert collect(simulate(cfg, seed=1)).conservation_ok
 
 
-@pytest.mark.parametrize("stack", ["vanilla", "csm", "secupan", "pcsm"])
+@pytest.mark.parametrize("stack", STACKS)
 @pytest.mark.parametrize(
     "edge",
     [{"duration": 0}, {"buffer": {"slots": 1}}, {"traffic": {"payload_bytes": 2047}}],
@@ -345,3 +352,40 @@ def test_stack_settings_may_differ_under_one_plan():
                    dict(buffer=dataclasses.replace(cfg.buffer, slots=4)),
                    dict(trust=dataclasses.replace(cfg.trust, threshold=0.4))):
         assert collect(simulate(dataclasses.replace(cfg, **change), 1, plan=plan)).conservation_ok
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch):
+    # No run digest sees these bytes: the secupan MAC also covers the bogus
+    # payload, and pcsm never checks a first fragment's signature.  So the
+    # header each stack receives is recomputed here from the victim's send.
+    cfg = parse_config({"stack": stack, "duration": 900.0, "key": "replay-key",
+                        "attack": {"kind": "header_replay", "start": 300.0}},
+                       default_name="replay")
+    cls = baselines.STACKS[stack]
+    replays = []
+
+    def admit(self, frag, now):
+        if frag.record.origin != frag.source:
+            replays.append(frag)
+        return baselines.ReceiverStack.admit(self, frag, now)
+
+    monkeypatch.setattr(cls, "admit", admit)
+    simulate(cfg, seed=4)
+    sends = {(s.source, s.tag): s for s in _legit_schedule(cfg, 4)}
+    assert len(replays) > 100
+    for frag in replays:
+        victim = sends[frag.source, frag.header.datagram_tag]
+        first = victim.payload[:MAX_FRAGMENT_PAYLOAD]
+        assert frag.header.kind is FragmentKind.FRAG1
+        assert (frag.header.datagram_size, frag.header.datagram_offset) == (288, 0)
+        assert len(frag.payload) == len(first) and frag.payload != first
+        if cls.SIGNER is None:
+            assert frag.header.ext is None
+            continue
+        if cls.SIGNER == "chain":
+            sig = chain_tag(seed_chain(b"replay-key", first, victim.nonce))
+        else:
+            sig = fragment_mac(b"replay-key", victim.source, FragmentKind.FRAG1, 288,
+                               victim.tag, 0, victim.nonce, first)
+        assert frag.header.ext == ExtensionFields(255, victim.nonce, sig)

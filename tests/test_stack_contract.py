@@ -15,17 +15,13 @@ a gate is present:
 
 import pytest
 
-from pcsm.baselines import (
-    MAC_CPU_MS,
-    CsmLikeStack,
-    SecuPanLikeStack,
-    VanillaStack,
-    mac_sign_fragments,
-)
-from pcsm.frag_codec import fragment_packet
-from pcsm.hash_chain import sign_fragments
-from pcsm.reassembly import HASH_CPU_MS, AdmitStatus, DropReason, PredictiveCsmStack
-from pcsm.trust_engine import TrustParams
+from pcsm import baselines
+from pcsm.attacks import ScheduledSend
+from pcsm.baselines import MAC_CPU_MS
+from pcsm.config import STACKS, parse_config
+from pcsm.frag_codec import Fragment
+from pcsm.reassembly import HASH_CPU_MS, AdmitStatus, DropReason
+from pcsm.simulator import signed_fragments
 
 KEY = b"shared-group-key"
 NONCE = b"\x00\x00\x00\x07"
@@ -33,22 +29,15 @@ STORED, DELIVERED, DROPPED = AdmitStatus.STORED, AdmitStatus.DELIVERED, AdmitSta
 
 
 def _make(name):
-    if name == "vanilla":
-        return VanillaStack(slots=2, timeout=10.0)
-    if name == "csm":
-        return CsmLikeStack(slots=2, timeout=10.0, failure_limit=3, block_duration=60.0)
-    if name == "secupan":
-        return SecuPanLikeStack(KEY, slots=2, timeout=10.0)
-    return PredictiveCsmStack(KEY, TrustParams(), slots=2, timeout=10.0)
+    """The stack a default config names: two slots, a 10 s timeout, 60 s blocks."""
+    cfg = parse_config({"name": "contract", "stack": name, "key": KEY.decode()})
+    return baselines.STACKS[name].from_config(cfg, trace=False)
 
 
 def _train(name, payload, tag, source, nonce=NONCE):
     """A datagram in the wire format the stack expects from a sender."""
-    frags = fragment_packet(payload, tag, with_extension=name in ("secupan", "pcsm"))
-    if name == "secupan":
-        return mac_sign_fragments(KEY, frags, nonce, source)
-    if name == "pcsm":
-        sign_fragments(KEY, frags, nonce)
+    send = ScheduledSend(0.0, source, tag, nonce, payload)
+    frags = signed_fragments(KEY, send, baselines.STACKS[name].SIGNER)
     for f in frags:
         f.source = source
     return frags
@@ -58,8 +47,6 @@ def _train(name, payload, tag, source, nonce=NONCE):
 # and what an accepted first fragment costs in total.
 VERIFY_CPU = {"vanilla": 0.0, "csm": 0.0, "secupan": MAC_CPU_MS, "pcsm": 0.0}
 FIRST_CPU = {"vanilla": 0.0, "csm": 0.0, "secupan": MAC_CPU_MS, "pcsm": HASH_CPU_MS}
-
-STACKS = ("vanilla", "csm", "secupan", "pcsm")
 
 
 @pytest.mark.parametrize(
@@ -186,3 +173,79 @@ def test_flush(name):
     assert stack.buffer.availability() == 1.0
     assert stack.block_events == {}
     assert stack.flush(102.0) == []
+
+
+def _trust_state(stack, source):
+    """What a drop could move: the pcsm score, the csm failure count."""
+    engine = getattr(stack, "engine", None)
+    score = engine.state(source).score if engine is not None else None
+    return score, getattr(stack, "failures", {}).get(source)
+
+
+@pytest.mark.parametrize(
+    "name, outcome",
+    [
+        ("vanilla", (DropReason.DUPLICATE, 0.0)),
+        ("csm", (DropReason.DUPLICATE, 0.0)),
+        # the MAC is valid, so the overlap check is what stops it
+        ("secupan", (DropReason.DUPLICATE, MAC_CPU_MS)),
+        # the chain has moved past it
+        ("pcsm", (DropReason.BAD_SIGNATURE, HASH_CPU_MS)),
+    ],
+)
+def test_repeated_fragn_never_completes_a_datagram(name, outcome):
+    payload = bytes(range(256)) + bytes(32)
+    stack = _make(name)
+    frags = _train(name, payload, 14, 4)
+    assert stack.admit(frags[0], 100.0).status is STORED
+    assert stack.admit(frags[1], 100.1).status is STORED
+    res = stack.admit(frags[1], 100.15)
+    assert (res.status, res.reason, res.cpu_ms) == (DROPPED, *outcome)
+    done = stack.admit(frags[2], 100.2)
+    assert (done.status, done.payload) == (DELIVERED, payload)
+    assert stack.block_events == {}
+
+
+@pytest.mark.parametrize(
+    "name, outcome",
+    [
+        ("vanilla", (DropReason.DUPLICATE, 0.0)),
+        ("csm", (DropReason.DUPLICATE, 0.0)),
+        # the MAC covers the offset
+        ("secupan", (DropReason.BAD_SIGNATURE, MAC_CPU_MS)),
+        # the chain covers payloads, not offsets: it passes, the overlap check stops it
+        ("pcsm", (DropReason.DUPLICATE, HASH_CPU_MS)),
+    ],
+)
+def test_overlapping_fragn_is_a_duplicate_with_no_trust_effect(name, outcome):
+    payload = bytes(range(200))
+    stack = _make(name)
+    frags = _train(name, payload, 15, 4)
+    assert stack.admit(frags[0], 100.0).status is STORED
+    before = _trust_state(stack, 4)
+    # the second fragment moved 32 bytes back, over the end of the first
+    h = frags[1].header
+    moved = Fragment(type(h)(h.kind, h.datagram_size, h.datagram_tag, 8, h.ext),
+                     frags[1].payload, 4)
+    res = stack.admit(moved, 100.1)
+    assert (res.status, res.reason, res.cpu_ms) == (DROPPED, *outcome)
+    assert _trust_state(stack, 4) == before
+    # the real fragments still complete the datagram, and only they do
+    assert stack.admit(frags[1], 100.2).status is STORED
+    done = stack.admit(frags[2], 100.3)
+    assert (done.status, done.payload) == (DELIVERED, payload)
+    assert stack.block_events == {}
+
+
+@pytest.mark.parametrize("name", [n for n in STACKS if baselines.STACKS[n].SIGNER is None])
+def test_two_fragns_at_one_offset_leave_the_hole_open(name):
+    """An 8-byte and a 96-byte FragN both at offset 12 no longer add up to 200."""
+    stack = _make(name)
+    frags = _train(name, bytes(200), 16, 4)
+    tail, h = frags[2], frags[1].header
+    short = Fragment(type(h)(h.kind, 200, h.datagram_tag, 12, None), tail.payload, 4)
+    assert stack.admit(frags[0], 100.0).status is STORED
+    assert stack.admit(short, 100.1).status is STORED
+    res = stack.admit(frags[1], 100.2)
+    assert (res.status, res.reason) == (DROPPED, DropReason.DUPLICATE)
+    assert [s.tag for s in stack.tick(110.5)] == [16]
