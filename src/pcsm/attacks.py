@@ -10,9 +10,9 @@ every stack.
 A schedule keeps its emissions as columns: times, kinds, sources,
 sizes, tags, offsets and replay victims in arrays, and the payload,
 nonce and signature bytes as slices of one blob that holds the
-builder's random draws in call order.  Indexing or iterating it builds
-AttackEmission records, so a caller that needs only the columns never
-builds one.
+builder's random draws in call order.  That is the only form an
+emission takes: the simulator builds an admitted frame's fragment
+straight from its row.
 
 Attacks that rely on the adversary's own radio identity (everything
 except header replay) are preceded by a low-rate warmup phase of
@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
 
@@ -57,23 +55,6 @@ class ScheduledSend:
     payload: bytes
     # per-fragment channel fate at the root, index 0 is the first fragment
     lost: tuple[bool, ...] = ()
-
-
-class AttackEmission(NamedTuple):
-    """A single frame the adversary puts on the air."""
-
-    time: float
-    kind: FragmentKind
-    claimed_source: int
-    datagram_size: int
-    tag: int
-    offset: int = 0
-    payload: bytes = b""
-    nonce: bytes = b""
-    sig: bytes = bytes(8)
-    # a captured header's replay: the index of the legit send whose first
-    # fragment's header goes out again, signature and all; -1 otherwise
-    victim: int = -1
 
 
 @dataclass(frozen=True)
@@ -128,19 +109,25 @@ class _TagCounter:
 # kind codes in AttackSchedule.kinds
 KIND_CODES = (FragmentKind.FRAG1, FragmentKind.FRAGN)
 _FRAG1, _FRAGN = 0, 1
-# largest single getrandbits call the blob makes, in bytes
-_DRAW_CHUNK = 1 << 16
 
 
-class AttackSchedule(Sequence):
+def sort_columns(columns: list[array]) -> None:
+    """Stable sort of equal-length columns by the first one, in place."""
+    key = columns[0]
+    order = sorted(range(len(key)), key=lambda i: key[i])
+    if any(i != j for i, j in enumerate(order)):
+        for col in columns:
+            col[:] = array(col.typecode, (col[i] for i in order))
+
+
+class AttackSchedule:
     """Adversary emissions as columns, written by one builder's rng.
 
-    ``draw(n)`` stands for ``rng.randbytes(n)`` and returns where those
-    bytes sit in the blob.  randbytes(n) is getrandbits(8 * n) in
-    little-endian order, so consecutive draws that are each a whole
-    number of 32-bit words are taken as one getrandbits call (at most
-    _DRAW_CHUNK bytes); any other size keeps its own call.  Either way
-    the rng leaves in the state the separate calls would leave it in.
+    Row i of the columns is one emission; kinds[i] indexes KIND_CODES.
+    Its payload, nonce and signature are the blob's payload_len[i]
+    bytes at payload_at[i], 4 at nonce_at[i] and 8 at sig_at[i].
+    ``draw(n)`` appends one ``rng.randbytes(n)`` to the blob, so the
+    blob holds the builder's draws in call order.
     """
 
     def __init__(self, rng):
@@ -150,7 +137,8 @@ class AttackSchedule(Sequence):
         self.sizes = array("i")
         self.tags = array("i")
         self.offsets = array("i")
-        # blob positions; -1 for an emission with no nonce or signature of its own
+        # blob positions; nonce_at is -1 on a FragN, and both are -1 on a
+        # header replay, which goes out with its victim's header
         self.payload_at = array("i")
         self.payload_len = array("i")
         self.nonce_at = array("i")
@@ -159,23 +147,12 @@ class AttackSchedule(Sequence):
         self.victims = array("i")
         self.blob = bytearray()
         self._rng = rng
-        self._pending = 0
 
     def draw(self, n: int) -> int:
-        at = len(self.blob) + self._pending
-        if n % 4:
-            self._flush()
-            self.blob += self._rng.randbytes(n)
-        else:
-            self._pending += n
-            if self._pending >= _DRAW_CHUNK:
-                self._flush()
+        """Append n random bytes to the blob and return where they start."""
+        at = len(self.blob)
+        self.blob += self._rng.randbytes(n)
         return at
-
-    def _flush(self) -> None:
-        n, self._pending = self._pending, 0
-        if n:
-            self.blob += self._rng.getrandbits(8 * n).to_bytes(n, "little")
 
     def add(self, time, kind, source, size, tag, offset, payload_at, payload_len,
             nonce_at=-1, sig_at=-1, victim=-1) -> None:
@@ -197,16 +174,11 @@ class AttackSchedule(Sequence):
 
     def sort(self) -> AttackSchedule:
         """Stable sort by time, in place."""
-        times = self.times
-        order = sorted(range(len(times)), key=times.__getitem__)
-        if any(i != j for i, j in enumerate(order)):
-            for col in self._columns():
-                col[:] = array(col.typecode, map(col.__getitem__, order))
+        sort_columns(self._columns())
         return self
 
     def cut(self, end: float) -> AttackSchedule:
         """Drop every emission at or after end; the schedule must be sorted."""
-        self._flush()
         n = bisect_left(self.times, end)
         for col in self._columns():
             del col[n:]
@@ -214,31 +186,6 @@ class AttackSchedule(Sequence):
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __getitem__(self, i: int) -> AttackEmission:
-        if i < 0:
-            i += len(self)
-        self._flush()
-        blob = self.blob
-        kind = KIND_CODES[self.kinds[i]]
-        at = self.payload_at[i]
-        payload = bytes(blob[at : at + self.payload_len[i]])
-        nonce_at, sig_at = self.nonce_at[i], self.sig_at[i]
-        nonce = bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b""
-        sig = bytes(blob[sig_at : sig_at + 8]) if sig_at >= 0 else bytes(8)
-        return AttackEmission(self.times[i], kind, self.sources[i], self.sizes[i],
-                              self.tags[i], self.offsets[i], payload, nonce, sig,
-                              self.victims[i])
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
 
 
 def _warmup_emissions(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter,
@@ -259,7 +206,8 @@ _FORGED_BYTES = MAX_FRAGMENT_PAYLOAD + 4 + 8
 
 def _forged_frag1s(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter, times) -> AttackSchedule:
     """Forged first-fragment reservations, one at each of `times` in order."""
-    # payload, nonce and signature are three consecutive draws of whole words
+    # one draw for payload, nonce and signature: whole words, so the same
+    # bytes and rng state as three separate draws
     attacker, size = spec.attacker, spec.forged_size
     for when, tag in zip(times, tags.take_n(len(times))):
         at = out.draw(_FORGED_BYTES)

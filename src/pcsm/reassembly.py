@@ -109,15 +109,17 @@ class ReassemblySession:
     fragments: list[Fragment] = field(default_factory=list)
     received_bytes: int = 0
 
-    def overlaps(self, frag: Fragment) -> bool:
-        """Whether frag shares a byte with a stored fragment."""
+    def fits(self, frag: Fragment) -> bool:
+        """Whether frag ends inside the datagram and shares no byte with a stored fragment."""
         start = frag.header.datagram_offset * OFFSET_UNIT
         end = start + len(frag.payload)
+        if end > self.expected_size:
+            return False
         for stored in self.fragments:
             at = stored.header.datagram_offset * OFFSET_UNIT
             if at < end and start < at + len(stored.payload):
-                return True
-        return False
+                return False
+        return True
 
     def store(self, frag: Fragment) -> None:
         self.fragments.append(frag)
@@ -204,8 +206,9 @@ class ReceiverStack:
     structural DUPLICATE.  Only a session that holds a chain is checked,
     and each chain seed or verify costs HASH_CPU_MS.  VERIFY_CPU_MS is
     charged on every outcome past the blocked-source gate.  A continuation
-    that passes every check but overlaps stored bytes is a DUPLICATE, with
-    no trust effect.
+    that passes every check but does not fit the datagram (it overlaps
+    stored bytes or runs past the declared size) is a DUPLICATE, with no
+    trust effect.
     """
 
     VERIFY_CPU_MS = 0.0
@@ -306,7 +309,7 @@ class ReceiverStack:
                 if not ok:
                     self._rejected(src, now, True)
                     return _dropped(DropReason.BAD_SIGNATURE, cpu)
-            if session.overlaps(frag):
+            if not session.fits(frag):
                 return _dropped(DropReason.DUPLICATE, cpu)
             session.chain = chain
             session.store(frag)

@@ -39,9 +39,9 @@ source and the dispatch kind.  A frame the prefilter drops gets one
 record, final from the start ("untrusted", prefiltered), and costs
 nothing more.  Any other frame gets one record that the stack's outcome
 completes, and a fragment built for this run: a legit one from the
-plan's signed fragments, an adversary one from its schedule entry in
-the wire shape of the stack under test.  A replayed header is the
-victim's own signed first fragment, so that header is taken as sent.
+plan's signed fragments, an adversary one straight from its row of the
+attack schedule, in the wire shape of the stack under test.  A header
+replay goes out with the victim's own signed first-fragment header.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .attacks import KIND_CODES, AttackEmission, AttackSchedule, ScheduledSend, build_attack
+from .attacks import KIND_CODES, AttackSchedule, ScheduledSend, build_attack, sort_columns
 # fragment_mac and seed_chain are unused here; bench/layers.py wraps both when tracing
 from .baselines import MAC_CPU_MS, STACKS, fragment_mac, mac_sign_fragments
 from .config import ScenarioConfig
@@ -359,10 +359,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
                 refs.append(~i)
 
     # stable, so equal arrival times keep legit-then-adversary emission order
-    order = sorted(range(len(times)), key=times.__getitem__)
-    times, sources, kinds, refs = (
-        array(col.typecode, map(col.__getitem__, order)) for col in (times, sources, kinds, refs)
-    )
+    sort_columns([times, sources, kinds, refs])
     return ArrivalPlan(seed, world(cfg), cfg.key, sends, firsts, attacker, attack, sent_datagrams,
                        sent_fragments, times, sources, kinds, refs, legit_corrupt, attack_corrupt,
                        {})
@@ -436,11 +433,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             corrupt = legit_corrupt[ref]
             origin = source
         else:
-            em = attack[~ref]
-            if em.victim < 0:
-                frag = _materialize_emission(em, with_ext)
-            else:
-                frag = Fragment(legit[firsts[em.victim]].header, em.payload, source)
+            frag = _materialize_emission(attack, ~ref, with_ext, legit, firsts)
             corrupt = attack_corrupt[~ref]
             origin = attacker
         rec = record(now, source, origin, kind, "stored")
@@ -497,8 +490,24 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     )
 
 
-def _materialize_emission(em: AttackEmission, with_ext: bool) -> Fragment:
-    """Give a forged schedule entry the wire shape the stack under test expects."""
-    ext = ExtensionFields(255, em.nonce, em.sig) if with_ext else None
-    header = FragmentHeader(em.kind, em.datagram_size, em.tag, em.offset, ext)
-    return Fragment(header, em.payload, source=em.claimed_source)
+def _materialize_emission(attack: AttackSchedule, i: int, with_ext: bool,
+                          legit: list[Fragment], firsts: array) -> Fragment:
+    """Emission i of attack in the wire shape the stack under test expects.
+
+    A header replay carries its victim's first-fragment header as legit
+    (the plan's signed fragments, indexed by firsts) holds it.
+    """
+    blob = attack.blob
+    at = attack.payload_at[i]
+    payload = bytes(blob[at : at + attack.payload_len[i]])
+    victim = attack.victims[i]
+    if victim >= 0:
+        return Fragment(legit[firsts[victim]].header, payload, attack.sources[i])
+    ext = None
+    if with_ext:
+        nonce_at, sig_at = attack.nonce_at[i], attack.sig_at[i]
+        nonce = bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b""
+        ext = ExtensionFields(255, nonce, bytes(blob[sig_at : sig_at + 8]))
+    header = FragmentHeader(KIND_CODES[attack.kinds[i]], attack.sizes[i], attack.tags[i],
+                            attack.offsets[i], ext)
+    return Fragment(header, payload, attack.sources[i])

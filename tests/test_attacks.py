@@ -1,13 +1,15 @@
-"""Adversary schedule builders: geometry, counts, determinism, dispatch."""
+"""Adversary schedule builders: geometry, counts, determinism, dispatch, frames built."""
 
+import pathlib
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
 from pcsm.attacks import (
     ATTACK_KINDS,
-    AttackEmission,
+    KIND_CODES,
     AttackSchedule,
     AttackSpec,
     ScheduledSend,
@@ -20,7 +22,52 @@ from pcsm.attacks import (
     _forged_frag1s,
     _TagCounter,
 )
-from pcsm.frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
+from pcsm.config import load_config
+from pcsm.frag_codec import (
+    MAX_FRAGMENT_PAYLOAD,
+    ExtensionFields,
+    Fragment,
+    FragmentHeader,
+    FragmentKind,
+)
+from pcsm.simulator import _materialize_emission, plan_arrivals
+
+REPO = pathlib.Path(__file__).parent.parent
+
+
+class AttackEmission(NamedTuple):
+    """One adversary frame as a record: the reference builders' output form."""
+
+    time: float
+    kind: FragmentKind
+    claimed_source: int
+    datagram_size: int
+    tag: int
+    offset: int = 0
+    payload: bytes = b""
+    nonce: bytes = b""
+    sig: bytes = bytes(8)
+    # a header replay's victim: the index of the legit send it copies; -1 otherwise
+    victim: int = -1
+
+
+def _row(schedule, i):
+    """Row i of a schedule's columns as a record; no nonce or signature reads as the defaults."""
+    blob = schedule.blob
+    at = schedule.payload_at[i]
+    nonce_at, sig_at = schedule.nonce_at[i], schedule.sig_at[i]
+    return AttackEmission(
+        schedule.times[i], KIND_CODES[schedule.kinds[i]], schedule.sources[i],
+        schedule.sizes[i], schedule.tags[i], schedule.offsets[i],
+        bytes(blob[at : at + schedule.payload_len[i]]),
+        bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b"",
+        bytes(blob[sig_at : sig_at + 8]) if sig_at >= 0 else bytes(8),
+        schedule.victims[i],
+    )
+
+
+def _rows(schedule):
+    return [_row(schedule, i) for i in range(len(schedule))]
 
 
 def _send(time, source, tag, payload=None, lost=()):
@@ -31,7 +78,7 @@ def _send(time, source, tag, payload=None, lost=()):
 
 def test_warmup_schedule_is_low_rate_single_fragment_mimicry():
     spec = AttackSpec("early_frag1")
-    ems = build_early_frag1(spec, [], 1800.0, random.Random(1))
+    ems = _rows(build_early_frag1(spec, [], 1800.0, random.Random(1)))
     # no victims past the start time, so only the warmup remains
     assert [e.time for e in ems] == [50.0 + 90.0 * k for k in range(10)]
     assert all(e.claimed_source == spec.attacker for e in ems)
@@ -44,7 +91,7 @@ def test_warmup_schedule_is_low_rate_single_fragment_mimicry():
 def test_early_salvo_lands_just_before_the_victim():
     spec = AttackSpec("early_frag1")
     victim = _send(1000.0, 3, 17)
-    ems = build_early_frag1(spec, [victim], 1800.0, random.Random(2))
+    ems = _rows(build_early_frag1(spec, [victim], 1800.0, random.Random(2)))
     salvo = [e for e in ems if e.time > 900.0]
     assert len(salvo) == spec.salvo_size == 12
     expected = [1000.0 - 0.005 + k * 0.0004 for k in range(12)]
@@ -58,14 +105,14 @@ def test_early_salvo_lands_just_before_the_victim():
 
 def test_early_salvo_skips_sends_before_attack_start():
     spec = AttackSpec("early_frag1")
-    ems = build_early_frag1(spec, [_send(800.0, 2, 5)], 1800.0, random.Random(3))
+    ems = _rows(build_early_frag1(spec, [_send(800.0, 2, 5)], 1800.0, random.Random(3)))
     assert all(e.time < 900.0 for e in ems)
     assert len(ems) == 10  # warmup only
 
 
 def test_flooding_emits_complete_wellformed_trains():
     spec = AttackSpec("complete_flooding")
-    ems = build_complete_flooding(spec, [], 910.0, random.Random(4))
+    ems = _rows(build_complete_flooding(spec, [], 910.0, random.Random(4)))
     trains = [e for e in ems if e.time >= 900.0]
     # trains at 900.0, 901.5, ... 909.0: seven of them, ten fragments each
     assert len(trains) == 7 * 10
@@ -84,7 +131,7 @@ def test_flooding_emits_complete_wellformed_trains():
 def test_replay_reuses_observed_headers_with_fresh_payloads():
     sends = [_send(10.0 * (i + 1), i + 1, 100 + i) for i in range(5)]
     spec = AttackSpec("header_replay", start=55.0)
-    ems = build_header_replay(spec, sends, 70.0, random.Random(5))
+    ems = _rows(build_header_replay(spec, sends, 70.0, random.Random(5)))
     assert [e.time for e in ems] == pytest.approx([55.0, 58.0, 61.0, 64.0, 67.0])
     # capture pool holds the four most recent; the emission names its send
     for i, e in enumerate(ems):
@@ -103,7 +150,7 @@ def test_replay_pool_excludes_sends_lost_before_the_root():
     lost_first = _send(30.0, 3, 102, lost=(True, False, False))
     sends = [_send(10.0, 1, 100), _send(20.0, 2, 101), lost_first]
     spec = AttackSpec("header_replay", start=40.0, replay_pool=4)
-    ems = build_header_replay(spec, sends, 60.0, random.Random(6))
+    ems = _rows(build_header_replay(spec, sends, 60.0, random.Random(6)))
     assert ems
     assert all(e.tag != 102 for e in ems)
 
@@ -111,12 +158,12 @@ def test_replay_pool_excludes_sends_lost_before_the_root():
 def test_replay_silent_when_nothing_was_observed():
     sends = [_send(10.0, 1, 100, lost=(True,))]
     spec = AttackSpec("header_replay", start=40.0)
-    assert build_header_replay(spec, sends, 60.0, random.Random(7)) == []
+    assert len(build_header_replay(spec, sends, 60.0, random.Random(7))) == 0
 
 
 def test_burst_rate_of_six_gives_sixty_emissions_in_ten_seconds():
     spec = AttackSpec("burst_injection")
-    ems = build_burst_injection(spec, [], 910.0, random.Random(8))
+    ems = _rows(build_burst_injection(spec, [], 910.0, random.Random(8)))
     burst = [e for e in ems if e.time >= 900.0]
     assert len(burst) == 60
     assert burst[1].time - burst[0].time == pytest.approx(1 / 6)
@@ -128,7 +175,7 @@ def test_burst_rate_of_six_gives_sixty_emissions_in_ten_seconds():
 def test_late_phase_trails_each_victim_with_orphan_fragments():
     spec = AttackSpec("late_phase")
     victim = _send(1000.0, 5, 33)
-    ems = build_late_phase(spec, [victim], 1800.0, random.Random(9))
+    ems = _rows(build_late_phase(spec, [victim], 1800.0, random.Random(9)))
     orphans = [e for e in ems if e.time > 900.0]
     assert len(orphans) == spec.late_orphans == 16
     assert [e.time for e in orphans] == pytest.approx(
@@ -145,7 +192,7 @@ def test_late_phase_trails_each_victim_with_orphan_fragments():
 def test_overlapping_late_bursts_stay_time_sorted():
     spec = AttackSpec("late_phase")
     sends = [_send(1000.0, 1, 1), _send(1001.4, 2, 2)]
-    ems = build_late_phase(spec, sends, 1800.0, random.Random(10))
+    ems = _rows(build_late_phase(spec, sends, 1800.0, random.Random(10)))
     times = [e.time for e in ems]
     assert times == sorted(times)
 
@@ -154,9 +201,9 @@ def test_overlapping_late_bursts_stay_time_sorted():
 def test_builders_are_deterministic_per_seed(kind):
     sends = [_send(895.0 + 1.40625 * i, 1 + i % 8, 50 + i) for i in range(8)]
     spec = AttackSpec(kind)
-    a = build_attack(spec, sends, 950.0, random.Random(77))
-    b = build_attack(spec, sends, 950.0, random.Random(77))
-    c = build_attack(spec, sends, 950.0, random.Random(78))
+    a = _rows(build_attack(spec, sends, 950.0, random.Random(77)))
+    b = _rows(build_attack(spec, sends, 950.0, random.Random(77)))
+    c = _rows(build_attack(spec, sends, 950.0, random.Random(78)))
     assert a == b
     assert a != c
 
@@ -165,16 +212,16 @@ def test_builders_are_deterministic_per_seed(kind):
 def test_attack_starting_after_the_run_builds_only_up_to_its_end(kind):
     sends = [_send(895.0 + 1.40625 * i, 1 + i % 8, 50 + i) for i in range(8)]
     began = time.perf_counter()
-    late = build_attack(AttackSpec(kind, start=1e9), sends, 1800.0, random.Random(5))
+    late = _rows(build_attack(AttackSpec(kind, start=1e9), sends, 1800.0, random.Random(5)))
     assert time.perf_counter() - began < 0.5
-    at_end = build_attack(AttackSpec(kind, start=1800.0), sends, 1800.0, random.Random(5))
+    at_end = _rows(build_attack(AttackSpec(kind, start=1800.0), sends, 1800.0, random.Random(5)))
     assert late == at_end
 
 
 def test_dispatch_rejects_unknown_kind_and_trims_to_duration():
     with pytest.raises(ValueError):
         build_attack(AttackSpec("phantom"), [], 100.0, random.Random(1))
-    ems = build_attack(AttackSpec("burst_injection"), [], 905.0, random.Random(1))
+    ems = _rows(build_attack(AttackSpec("burst_injection"), [], 905.0, random.Random(1)))
     assert all(e.time < 905.0 for e in ems)
 
 
@@ -182,7 +229,7 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
     spec = AttackSpec("burst_injection")
     rng, twin = random.Random(11), random.Random(11)
     tags = _TagCounter()
-    ems = _forged_frag1s(spec, AttackSchedule(rng), tags, [float(k) for k in range(50)])
+    ems = _rows(_forged_frag1s(spec, AttackSchedule(rng), tags, [float(k) for k in range(50)]))
     assert [em.time for em in ems] == [float(k) for k in range(50)]
     for em in ems:
         assert em.payload == twin.randbytes(MAX_FRAGMENT_PAYLOAD)
@@ -191,17 +238,10 @@ def test_forged_frag1_draws_the_same_stream_as_separate_randbytes():
     assert rng.getstate() == twin.getstate()
 
 
-def test_emissions_are_immutable():
-    [em] = _forged_frag1s(AttackSpec("burst_injection"), AttackSchedule(random.Random(1)),
-                          _TagCounter(), [0.0])
-    with pytest.raises(AttributeError):
-        em.time = 1.0
-
-
 def test_forged_tags_wrap_back_to_the_forged_range_like_take():
     counter, twin = _TagCounter(0xFFFE), _TagCounter(0xFFFE)
-    ems = _forged_frag1s(AttackSpec("burst_injection"), AttackSchedule(random.Random(2)), counter,
-                         [0.0] * 4)
+    ems = _rows(_forged_frag1s(AttackSpec("burst_injection"), AttackSchedule(random.Random(2)),
+                               counter, [0.0] * 4))
     assert [em.tag for em in ems] == [twin.take() for _ in range(4)] == [
         0xFFFE, 0xFFFF, 0x8000, 0x8001,
     ]
@@ -390,24 +430,38 @@ _CASES = [
 def test_columnar_schedule_equals_the_per_emission_reference(spec, duration, seed):
     sends = _victim_sends(seed)
     rng, twin = random.Random(seed), random.Random(seed)
-    got = build_attack(spec, sends, duration, rng)
+    got = _rows(build_attack(spec, sends, duration, rng))
     want = _ref_build_attack(spec, sends, duration, twin)
-    assert len(got) == len(want)
-    assert list(got) == want
+    assert got == want
     assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize("spec,duration", [(_BURST_WRAP, 400.0), (_LATE_WRAP, 1800.0)])
 def test_tag_wrap_cases_reach_the_wrap(spec, duration):
-    tags = [em.tag for em in build_attack(spec, _victim_sends(1), duration, random.Random(1))]
+    tags = list(build_attack(spec, _victim_sends(1), duration, random.Random(1)).tags)
     assert 0xFFFF in tags and tags.count(0x8000) >= 2
 
 
-def test_schedule_indexes_like_a_list():
-    spec = AttackSpec("complete_flooding", start=900.0)
-    ems = build_attack(spec, [], 920.0, random.Random(3))
-    as_list = list(ems)
-    assert ems[-1] == as_list[-1]
-    assert ems[2] == as_list[2]
-    with pytest.raises(IndexError):
-        ems[len(ems)]
+def _ref_materialize(em, with_ext, legit, firsts):
+    """The record-based frame builder the column reader replaced, victim branch included."""
+    if em.victim >= 0:
+        return Fragment(legit[firsts[em.victim]].header, em.payload, em.claimed_source)
+    ext = ExtensionFields(255, em.nonce, em.sig) if with_ext else None
+    header = FragmentHeader(em.kind, em.datagram_size, em.tag, em.offset, ext)
+    return Fragment(header, em.payload, source=em.claimed_source)
+
+
+@pytest.mark.parametrize("seed", range(1, 4))
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
+    """Header (ext nonce and signature included), payload and source, for every emission."""
+    plan = plan_arrivals(load_config(REPO / f"configs/pcsm-{kind}.yaml"), seed)
+    attack = plan.attack
+    ems = _rows(attack)
+    assert ems
+    for signer in (None, "chain", "mac"):
+        legit, with_ext = plan.wire(signer).fragments, signer is not None
+        for i, em in enumerate(ems):
+            got = _materialize_emission(attack, i, with_ext, legit, plan.firsts)
+            want = _ref_materialize(em, with_ext, legit, plan.firsts)
+            assert (got.header, got.payload, got.source) == (want.header, want.payload, want.source)

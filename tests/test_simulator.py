@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+from array import array
 
 import pytest
 
@@ -296,17 +297,26 @@ def test_shared_plan_reproduces_the_pinned_digest(case):
     assert _digest(simulate(cfg, seed, trace=True, plan=plan)) == DIGESTS[case]
 
 
+def _schedule_bytes(schedule):
+    """Every column of an attack schedule, and its blob, as bytes."""
+    return {name: bytes(value) for name, value in vars(schedule).items()
+            if isinstance(value, (array, bytearray))}
+
+
 def test_replaying_a_plan_leaves_it_unchanged():
     a = load_config(REPO / "configs/pcsm-burst_injection.yaml")
     b = dataclasses.replace(a, stack="secupan")
     plan = plan_arrivals(a, 3)
     before = list(plan.frames())
+    schedule = _schedule_bytes(plan.attack)
+    assert schedule["blob"] and schedule["times"]
     first = _digest(simulate(a, 3, trace=True, plan=plan))
     other = _digest(simulate(b, 3, trace=True, plan=plan))
     again = _digest(simulate(a, 3, trace=True, plan=plan))
     assert first == again == _digest(simulate(a, 3, trace=True))
     assert other == _digest(simulate(b, 3, trace=True))
     assert list(plan.frames()) == before
+    assert _schedule_bytes(plan.attack) == schedule
     assert all(frame.origin == a.attack.attacker for frame in before if frame.ref < 0)
 
 

@@ -17,9 +17,10 @@ import pytest
 
 from pcsm import baselines
 from pcsm.attacks import ScheduledSend
-from pcsm.baselines import MAC_CPU_MS
+from pcsm.baselines import MAC_CPU_MS, mac_sign_fragments
 from pcsm.config import STACKS, parse_config
-from pcsm.frag_codec import Fragment
+from pcsm.frag_codec import ExtensionFields, Fragment, FragmentHeader, FragmentKind
+from pcsm.hash_chain import sign_fragments
 from pcsm.reassembly import HASH_CPU_MS, AdmitStatus, DropReason
 from pcsm.simulator import signed_fragments
 
@@ -44,7 +45,8 @@ def _train(name, payload, tag, source, nonce=NONCE):
 
 
 # CPU a stack charges on every outcome past its blocked-source gate,
-# and what an accepted first fragment costs in total.
+# and what an accepted first fragment, or a continuation checked
+# against its session, costs in total.
 VERIFY_CPU = {"vanilla": 0.0, "csm": 0.0, "secupan": MAC_CPU_MS, "pcsm": 0.0}
 FIRST_CPU = {"vanilla": 0.0, "csm": 0.0, "secupan": MAC_CPU_MS, "pcsm": HASH_CPU_MS}
 
@@ -237,15 +239,40 @@ def test_overlapping_fragn_is_a_duplicate_with_no_trust_effect(name, outcome):
     assert stack.block_events == {}
 
 
-@pytest.mark.parametrize("name", [n for n in STACKS if baselines.STACKS[n].SIGNER is None])
-def test_two_fragns_at_one_offset_leave_the_hole_open(name):
-    """An 8-byte and a 96-byte FragN both at offset 12 no longer add up to 200."""
+def _shaped_train(name, size, tag, source, parts):
+    """Fragments at the given (offset, payload) parts of a size-byte datagram, signed in order."""
+    signer = baselines.STACKS[name].SIGNER
+    ext = ExtensionFields() if signer is not None else None
+    frags = [
+        Fragment(FragmentHeader(FragmentKind.FRAGN if offset else FragmentKind.FRAG1, size, tag,
+                                offset, ext), payload, source)
+        for offset, payload in parts
+    ]
+    if signer == "chain":
+        sign_fragments(KEY, frags, NONCE)
+    elif signer == "mac":
+        mac_sign_fragments(KEY, frags, NONCE, source)
+    return frags
+
+
+@pytest.mark.parametrize("offset", [12, 24], ids=["overlapping", "overrunning"])
+@pytest.mark.parametrize("name", STACKS)
+def test_fragn_that_does_not_fit_is_a_duplicate_and_leaves_the_hole_open(name, offset):
+    """96 bytes at 0, 8 at offset 12, then 96 at offset 12 or 24: 200 bytes, but not a datagram.
+
+    The third overlaps the second, or runs past the declared 200 bytes;
+    either way it is dropped with no trust effect and the session times out.
+    """
     stack = _make(name)
-    frags = _train(name, bytes(200), 16, 4)
-    tail, h = frags[2], frags[1].header
-    short = Fragment(type(h)(h.kind, 200, h.datagram_tag, 12, None), tail.payload, 4)
-    assert stack.admit(frags[0], 100.0).status is STORED
+    first, short, third = _shaped_train(
+        name, 200, 17, 4, [(0, bytes(range(96))), (12, bytes(8)), (offset, bytes(96))])
+    assert stack.admit(first, 100.0).status is STORED
     assert stack.admit(short, 100.1).status is STORED
-    res = stack.admit(frags[1], 100.2)
-    assert (res.status, res.reason) == (DROPPED, DropReason.DUPLICATE)
-    assert [s.tag for s in stack.tick(110.5)] == [16]
+    before = _trust_state(stack, 4)
+    res = stack.admit(third, 100.2)
+    assert (res.status, res.reason, res.cpu_ms) == (
+        DROPPED, DropReason.DUPLICATE, FIRST_CPU[name],
+    )
+    assert _trust_state(stack, 4) == before
+    assert stack.block_events == {}
+    assert [s.tag for s in stack.tick(110.5)] == [17]
