@@ -29,7 +29,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .frag_codec import MAX_FRAGMENT_PAYLOAD, FragmentKind
+from .frag_codec import MAX_FRAGMENT_PAYLOAD
 
 ATTACK_KINDS = (
     "early_frag1",
@@ -106,8 +106,7 @@ class _TagCounter:
         return tag
 
 
-# kind codes in AttackSchedule.kinds
-KIND_CODES = (FragmentKind.FRAG1, FragmentKind.FRAGN)
+# codes in AttackSchedule.kinds, indexes of frag_codec.KIND_CODES
 _FRAG1, _FRAGN = 0, 1
 
 
@@ -123,7 +122,7 @@ def sort_columns(columns: list[array]) -> None:
 class AttackSchedule:
     """Adversary emissions as columns, written by one builder's rng.
 
-    Row i of the columns is one emission; kinds[i] indexes KIND_CODES.
+    Row i of the columns is one emission; kinds[i] indexes frag_codec.KIND_CODES.
     Its payload, nonce and signature are the blob's payload_len[i]
     bytes at payload_at[i], 4 at nonce_at[i] and 8 at sig_at[i].
     ``draw(n)`` appends one ``rng.randbytes(n)`` to the blob, so the

@@ -73,6 +73,10 @@ class FragmentKind(Enum):
     FRAGN = "fragn"
 
 
+# one-byte kind codes, as columns of frames store a kind: code 0 is FRAG1
+KIND_CODES = (FragmentKind.FRAG1, FragmentKind.FRAGN)
+
+
 def quantize_trust(score: float) -> int:
     """Map a trust score in [0,1] to the 1-byte wire field."""
     return max(0, min(255, round(score * 255)))
@@ -107,7 +111,7 @@ class Fragment:
     header: FragmentHeader
     payload: bytes
     source: int = -1
-    # the receiver's accounting entry for this fragment (simulator.FrameRecord)
+    # where the receiver accounts for this fragment (in the simulator, its arrival index)
     record: Any = None
 
 

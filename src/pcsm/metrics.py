@@ -6,17 +6,28 @@ suppression and identification latency, false blocks, and node power.
 A suppression latency is only reported when the run ends with the
 attacker fully gated; a stack that merely degrades under attack gets
 None, which aggregation folds into a detection rate.
+
+A run's frame records are columns (simulator.FrameRecords) sorted by
+time, one disposition code per frame, so the reductions here count and
+search those codes in bulk and never build a record.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 from .reassembly import GATE_REASONS
-from .simulator import FrameRecord, RunResult
+from .simulator import (
+    DISPOSITION_MASK,
+    DISPOSITIONS,
+    HOSTILE,
+    PREFILTERED,
+    FrameRecords,
+    RunResult,
+)
 
 # Terminal per-fragment dispositions a finished run may contain.
 GATE_DISPOSITIONS = frozenset(r.value for r in GATE_REASONS)
@@ -36,33 +47,39 @@ def compute_pdr(sent: int, delivered: int) -> float:
     return 100.0 * delivered / sent
 
 
-def detection_latency(
-    records: Iterable[FrameRecord], attacker: int, attack_start: float
-) -> float | None:
+# Every code a record can hold, and each hostile one's class for
+# detection_latency: _GATED if a security gate rejected it, else _OPEN.
+_CODES = tuple(d | origin | flag for d in range(len(DISPOSITIONS))
+               for origin in (0, HOSTILE) for flag in (0, PREFILTERED))
+_GATED, _OPEN = 1, 2
+_HOSTILE_CLASS = bytearray(256)
+for _code in _CODES:
+    if _code & HOSTILE:
+        _HOSTILE_CLASS[_code] = (
+            _GATED if DISPOSITIONS[_code & DISPOSITION_MASK] in GATE_DISPOSITIONS else _OPEN)
+
+
+def detection_latency(records: FrameRecords, attack_start: float) -> float | None:
     """Time from first hostile arrival until the last non-gated one.
 
-    Scans attacker-origin arrivals from the attack onset onward and
-    finds the earliest point after which every arrival was rejected by
-    a security gate.  Returns the gap between the first arrival and
-    that point, 0.0 when nothing ever got through, and None when the
-    run ended with hostile traffic still being admitted (or when the
-    attacker never transmitted).  The filter is idempotent, so a caller
-    may pass records already narrowed to those arrivals, as collect() does.
+    Takes the hostile arrivals from the attack onset onward, in time
+    order, and finds the earliest point after which every arrival was
+    rejected by a security gate.  Returns the gap between the first
+    arrival and that point, 0.0 when nothing ever got through, and None
+    when the run ended with hostile traffic still being admitted (or
+    when the attacker never transmitted after the onset).  It searches
+    the codes, so it never builds a record.
     """
-    arrivals = sorted(
-        (r for r in records if r.origin == attacker and r.time >= attack_start),
-        key=lambda r: r.time,
-    )
-    if not arrivals:
+    hostile = records.codes.translate(_HOSTILE_CLASS)
+    start = bisect_left(records.times, attack_start)
+    found = [k for k in (hostile.find(_GATED, start), hostile.find(_OPEN, start)) if k >= 0]
+    if not found:
         return None
-    suffix_start = len(arrivals)
-    for i in range(len(arrivals) - 1, -1, -1):
-        if arrivals[i].disposition not in GATE_DISPOSITIONS:
-            break
-        suffix_start = i
-    if suffix_start == len(arrivals):
-        return None
-    return arrivals[suffix_start].time - arrivals[0].time
+    last_open = hostile.rfind(_OPEN, start)
+    if last_open < 0:
+        return 0.0
+    suffix = hostile.find(_GATED, last_open + 1)
+    return None if suffix < 0 else records.times[suffix] - records.times[min(found)]
 
 
 @dataclass
@@ -105,29 +122,28 @@ class RunMetrics:
 
 
 def collect(result: RunResult) -> RunMetrics:
-    """Reduce one run's records to a RunMetrics, in one pass over them."""
+    """Reduce one run's records to a RunMetrics, counting each code once."""
     attacker = result.attacker
     attack_start = result.attack_start
-    watch = attacker is not None and attack_start is not None
+    codes = result.records.codes
     legit_drops: dict[str, int] = {}
     hostile_drops: dict[str, int] = {}
-    # attacker arrivals from the attack start on, pre-filtered for detection_latency
-    arrivals: list[FrameRecord] = []
     n_hostile = stray = 0
-    for rec in result.records:
-        disposition = rec.disposition
-        if rec.origin == attacker:
-            n_hostile += 1
+    for code in _CODES:
+        count = codes.count(code)
+        if not count:
+            continue
+        if code & HOSTILE:
+            n_hostile += count
             drops = hostile_drops
-            if watch and rec.time >= attack_start:
-                arrivals.append(rec)
         else:
             drops = legit_drops
+        disposition = DISPOSITIONS[code & DISPOSITION_MASK]
         if disposition in DROP_DISPOSITIONS:
-            drops[disposition] = drops.get(disposition, 0) + 1
+            drops[disposition] = drops.get(disposition, 0) + count
         elif disposition not in FINAL_DISPOSITIONS:
-            stray += 1
-    n_legit = len(result.records) - n_hostile
+            stray += count
+    n_legit = len(codes) - n_hostile
 
     sent = sum(result.sent_datagrams.values())
     delivered = attacker_delivered = 0
@@ -140,8 +156,8 @@ def collect(result: RunResult) -> RunMetrics:
     n_legit_drops = sum(legit_drops.values())
     n_hostile_drops = sum(hostile_drops.values())
 
-    if watch:
-        det = detection_latency(arrivals, attacker, attack_start)
+    if attacker is not None and attack_start is not None:
+        det = detection_latency(result.records, attack_start)
         ident = (
             result.identified_at - attack_start
             if result.identified_at is not None

@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .frag_codec import NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
+from .frag_codec import KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
 from .hash_chain import HashChainState, seed_chain, validate_fragment
 from .trust_engine import ObservationTracker, TrustEngine, TrustParams
 
@@ -208,7 +208,8 @@ class ReceiverStack:
     charged on every outcome past the blocked-source gate.  A continuation
     that passes every check but does not fit the datagram (it overlaps
     stored bytes or runs past the declared size) is a DUPLICATE, with no
-    trust effect.
+    trust effect, and so is a first fragment that carries more bytes than
+    its datagram declares, which no session could ever complete.
     """
 
     VERIFY_CPU_MS = 0.0
@@ -229,9 +230,16 @@ class ReceiverStack:
         """The stack a config.ScenarioConfig asks for; trace keeps the trust history, if any."""
         return cls(cfg.buffer.slots, cfg.buffer.timeout)
 
-    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
-        """Radio-level filter on link source and dispatch kind: True drops the frame."""
-        return False
+    def filter_run(self, times, sources, kinds, i: int, stop: int) -> int:
+        """The end of the run of arrivals from i on that the radio filters.
+
+        The radio sees only each arrival's link source and dispatch kind.
+        The arrivals are time-sorted columns (kinds indexes KIND_CODES);
+        the run ends by stop at the latest, where the caller has a tick
+        to run.  Returning i lets arrival i through; this stack filters
+        nothing.
+        """
+        return i
 
     def identified_at(self, source: int) -> float | None:
         """When the stack first identified source as hostile, if it has."""
@@ -282,6 +290,8 @@ class ReceiverStack:
             if buffer.find(src, tag) is not None:
                 collision = DropReason.DUPLICATE if ledger is None else DropReason.REPLAY
                 return _dropped(collision, cpu)
+            if len(frag.payload) > header.datagram_size:
+                return _dropped(DropReason.DUPLICATE, cpu)
             if not self._screen(src, tag, now):
                 return _dropped(DropReason.UNTRUSTED, cpu)
             if not buffer.has_free_slot():
@@ -411,6 +421,36 @@ class PredictiveCsmStack(ReceiverStack):
         if kind is FragmentKind.FRAG1:
             self.tracker.touch(source, now)
         return True
+
+    def filter_run(self, times, sources, kinds, i: int, stop: int) -> int:
+        """filter_frame for arrival i, then for its source's next arrivals at once.
+
+        Once arrival i is filtered, each contact pushes the block's expiry
+        to its time plus block_duration, so the source's next arrival is
+        filtered iff it comes before its predecessor's time plus
+        block_duration.  The run ends there, at another source, or at
+        stop; then the expiry takes one push and the tracker one touch,
+        with what per-frame calls would have left.
+        """
+        source = sources[i]
+        if not self.filter_frame(source, KIND_CODES[kinds[i]], times[i]):
+            return i
+        block = self.engine.params.block_duration
+        last, j = times[i], i + 1
+        while j < stop and sources[j] == source:
+            now = times[j]
+            if now >= last + block:
+                break
+            last, j = now, j + 1
+        # pushed here, not by note_blocked_contact: a run longer than a
+        # block has passed the expiry filter_frame set for arrival i
+        state = self.engine.states[source]
+        state.blacklisted_until = max(state.blacklisted_until, last + block)
+        for k in range(j - 1, i, -1):
+            if KIND_CODES[kinds[k]] is FragmentKind.FRAG1:
+                self.tracker.touch(source, times[k])
+                break
+        return j
 
     def identified_at(self, source: int) -> float | None:
         return self.engine.first_blocked.get(source)

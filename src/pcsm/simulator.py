@@ -35,13 +35,20 @@ and world, replay it for every stack and trust cell that shares it,
 and drop it before the next.  Nothing caches plans across calls.
 
 Every arrival meets the radio prefilter first, which sees only the link
-source and the dispatch kind.  A frame the prefilter drops gets one
-record, final from the start ("untrusted", prefiltered), and costs
-nothing more.  Any other frame gets one record that the stack's outcome
-completes, and a fragment built for this run: a legit one from the
-plan's signed fragments, an adversary one straight from its row of the
-attack schedule, in the wire shape of the stack under test.  A header
-replay goes out with the victim's own signed first-fragment header.
+source and the dispatch kind, and the stack's filter_run hands it a
+whole run of arrivals at once: one source's frames, up to the next tick
+that could change what the stack does.  A run the prefilter drops costs
+the simulator one slice write to the run's disposition codes
+("untrusted", prefiltered), and no fragment or record.  Any other
+frame gets a fragment built for this run, whose record is its arrival
+index: a legit one from the plan's signed fragments, an adversary one
+straight from its row of the attack schedule, in the wire shape of the
+stack under test.  A header replay goes out with the victim's own
+signed first-fragment header.
+
+A run's records are FrameRecords: the plan's arrival columns plus one
+byte per arrival for this run's disposition.  A FrameRecord is built
+only when a row is read.
 """
 
 from __future__ import annotations
@@ -50,14 +57,17 @@ import heapq  # unused here; bench/layers.py patches simulator.heapq when tracin
 import math
 import random
 from array import array
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .attacks import KIND_CODES, AttackSchedule, ScheduledSend, build_attack, sort_columns
+from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
 # fragment_mac and seed_chain are unused here; bench/layers.py wraps both when tracing
 from .baselines import MAC_CPU_MS, STACKS, fragment_mac, mac_sign_fragments
 from .config import ScenarioConfig
 from .frag_codec import (
+    KIND_CODES,
     MAX_FRAGMENT_PAYLOAD,
     ExtensionFields,
     Fragment,
@@ -67,7 +77,7 @@ from .frag_codec import (
     header_length,
 )
 from .hash_chain import seed_chain, sign_fragments
-from .reassembly import HASH_CPU_MS, AdmitStatus
+from .reassembly import HASH_CPU_MS, AdmitStatus, DropReason
 
 PROPAGATION_DELAY = 0.001
 TICK_INTERVAL = 1.0
@@ -123,6 +133,68 @@ class FrameRecord:
     prefiltered: bool = False
 
 
+# A record's disposition code: the low four bits index DISPOSITIONS, and
+# two flags sit above them.  Every record starts as "stored" (0).
+DISPOSITIONS = ("stored", "delivered", "buffered") + tuple(r.value for r in DropReason)
+HOSTILE = 0x10  # the frame's origin is the attacker
+PREFILTERED = 0x20  # the radio dropped the frame
+DISPOSITION_MASK = 0x0F
+_CODE = {d: code for code, d in enumerate(DISPOSITIONS)}
+_REASON_CODE = {r: _CODE[r.value] for r in DropReason}
+_DELIVERED, _BUFFERED, _TIMEOUT = _CODE["delivered"], _CODE["buffered"], _CODE["timeout"]
+# stored codes to prefiltered "untrusted", keeping the hostile flag
+_PREFILTER = bytes(code | PREFILTERED | _CODE["untrusted"] for code in range(256))
+
+
+class FrameRecords(Sequence):
+    """One run's frame records as columns, row i for arrival i, sorted by time.
+
+    times, sources, kinds (indexes of KIND_CODES) and origins are the
+    plan's arrival columns, shared and never written; codes holds this
+    run's disposition code per arrival.  Reading a row builds its
+    FrameRecord.
+    """
+
+    __slots__ = ("times", "sources", "kinds", "origins", "codes")
+
+    def __init__(self, times: array, sources: array, kinds: array, origins: array,
+                 codes: bytearray):
+        self.times, self.sources, self.kinds, self.origins = times, sources, kinds, origins
+        self.codes = codes
+
+    @classmethod
+    def of(cls, records: Iterable[FrameRecord], attacker: int | None) -> FrameRecords:
+        """The columns of records, hostile where the origin is attacker.
+
+        Raises ValueError unless the records are sorted by time and each
+        disposition is one of DISPOSITIONS.
+        """
+        records = list(records)
+        times = array("d", (r.time for r in records))
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            raise ValueError("frame records must be sorted by time")
+        codes = bytearray()
+        for r in records:
+            if r.disposition not in _CODE:
+                raise ValueError(f"unknown disposition {r.disposition!r}")
+            codes.append(_CODE[r.disposition] | (HOSTILE if r.origin == attacker else 0)
+                         | (PREFILTERED if r.prefiltered else 0))
+        return cls(times, array("q", (r.source for r in records)),
+                   array("B", (KIND_CODES.index(r.kind) for r in records)),
+                   array("q", (r.origin for r in records)), codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self.codes)))]
+        code = self.codes[i]
+        return FrameRecord(self.times[i], self.sources[i], self.origins[i],
+                           KIND_CODES[self.kinds[i]], DISPOSITIONS[code & DISPOSITION_MASK],
+                           bool(code & PREFILTERED))
+
+
 @dataclass
 class DeliveredRecord:
     time: float
@@ -144,7 +216,7 @@ class RunResult:
     attack_start: float | None
     sent_datagrams: dict[int, int]
     sent_fragments: dict[int, int]
-    records: list[FrameRecord]
+    records: FrameRecords
     delivered: list[DeliveredRecord]
     identified_at: float | None
     mean_availability: float
@@ -242,6 +314,9 @@ class ArrivalPlan(NamedTuple):
     sources: array
     kinds: array
     refs: array
+    origins: array
+    # each arrival's disposition code before replay: "stored", HOSTILE if adversary
+    codes: array
     # channel corruption, per legit fragment and per adversary emission
     legit_corrupt: bytearray
     attack_corrupt: bytearray
@@ -266,12 +341,11 @@ class ArrivalPlan(NamedTuple):
 
     def frames(self):
         """The arrivals in order, one _Frame each."""
-        attacker, legit_corrupt, attack_corrupt = (
-            self.attacker, self.legit_corrupt, self.attack_corrupt)
-        for now, source, code, ref in zip(self.times, self.sources, self.kinds, self.refs):
-            legit = ref >= 0
-            yield _Frame(now, source, KIND_CODES[code], source if legit else attacker,
-                         bool(legit_corrupt[ref] if legit else attack_corrupt[~ref]), ref)
+        legit_corrupt, attack_corrupt = self.legit_corrupt, self.attack_corrupt
+        for now, source, code, origin, ref in zip(self.times, self.sources, self.kinds,
+                                                  self.origins, self.refs):
+            yield _Frame(now, source, KIND_CODES[code], origin,
+                         bool(legit_corrupt[ref] if ref >= 0 else attack_corrupt[~ref]), ref)
 
 
 _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
@@ -321,6 +395,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     if attacker is not None:
         sent_fragments[attacker] = 0
     times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
+    origins, codes = array("q"), array("B")
 
     # legitimate traffic, fragment by fragment in send order
     legit_corrupt = bytearray()
@@ -339,6 +414,8 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
                 sources.append(src)
                 kinds.append(j > 0)
                 refs.append(len(legit_corrupt) - 1)
+                origins.append(src)
+                codes.append(0)
 
     # adversary traffic, one loss and one corruption draw per emission
     attack = None
@@ -357,12 +434,14 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
                 sources.append(source)
                 kinds.append(code)
                 refs.append(~i)
+                origins.append(attacker)
+                codes.append(HOSTILE)
 
     # stable, so equal arrival times keep legit-then-adversary emission order
-    sort_columns([times, sources, kinds, refs])
+    sort_columns([times, sources, kinds, refs, origins, codes])
     return ArrivalPlan(seed, world(cfg), cfg.key, sends, firsts, attacker, attack, sent_datagrams,
-                       sent_fragments, times, sources, kinds, refs, legit_corrupt, attack_corrupt,
-                       {})
+                       sent_fragments, times, sources, kinds, refs, origins, codes, legit_corrupt,
+                       attack_corrupt, {})
 
 
 def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
@@ -391,82 +470,88 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     original_payload: dict[tuple[int, int], bytes] = {}
     unreached = plan.sends[::-1]
 
-    records: list[FrameRecord] = []
     delivered: list[DeliveredRecord] = []
     root = ledgers[ROOT]
     buffer = stack.buffer
     duration = cfg.duration
     next_tick = TICK_INTERVAL
-    record, add_record = FrameRecord, records.append
-    filter_frame = stack.filter_frame
-    kind_of = KIND_CODES
+    filter_run = stack.filter_run
     header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
     legit, legit_corrupt, firsts = wire.fragments, plan.legit_corrupt, plan.firsts
     attack, attack_corrupt = plan.attack, plan.attack_corrupt
+    times, sources, kinds, refs, origins = (
+        plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
+    codes = bytearray(plan.codes)
 
-    def _mark(sessions, disposition):
+    # a record leaves "stored" (0) at most once, so or-ing keeps its flags
+    def _mark(sessions, code):
         for session in sessions:
             for frag in session.fragments:
-                frag.record.disposition = disposition
+                codes[frag.record] |= code
 
-    for now, source, code, ref in zip(plan.times, plan.sources, plan.kinds, plan.refs):
+    i, n = 0, len(codes)
+    while i < n:
+        now = times[i]
         # ticks strictly before this arrival; on an empty buffer a tick
         # is a no-op, so skip to the first one not before it
         while next_tick < now and next_tick <= duration:
             if not buffer.sessions:
                 next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
                 break
-            _mark(stack.tick(next_tick), "timeout")
+            _mark(stack.tick(next_tick), _TIMEOUT)
             next_tick += TICK_INTERVAL
 
-        kind = kind_of[code]
-        if filter_frame(source, kind, now):
+        # a filtered run stops before the next tick that has a session to act on
+        if buffer.sessions and next_tick <= duration:
+            stop = bisect_right(times, next_tick, i)
+        else:
+            stop = n
+        j = filter_run(times, sources, kinds, i, stop)
+        if j > i:
             # address-filtered in the radio: no RX cost, no CPU
-            add_record(record(now, source, source if ref >= 0 else attacker, kind,
-                              "untrusted", True))
+            codes[i:j] = codes[i:j].translate(_PREFILTER)
+            i = j
             continue
 
+        source, code, ref = sources[i], kinds[i], refs[i]
         if ref >= 0:
             # a fresh fragment per run: corruption and the record are per run
             sent = legit[ref]
             frag = Fragment(sent.header, sent.payload, source)
             corrupt = legit_corrupt[ref]
-            origin = source
         else:
             frag = _materialize_emission(attack, ~ref, with_ext, legit, firsts)
             corrupt = attack_corrupt[~ref]
-            origin = attacker
-        rec = record(now, source, origin, kind, "stored")
-        add_record(rec)
         nbytes = header_lens[code] + len(frag.payload)
         if corrupt:
             frag.payload = _corrupt_payload(frag.payload)
-        frag.record = rec
+        frag.record = i
 
         root.rx_s += airtime(nbytes)
         result = stack.admit(frag, now)
         root.cpu_ms += result.cpu_ms
 
         if result.status is AdmitStatus.DROPPED:
-            rec.disposition = result.reason.value
+            codes[i] |= _REASON_CODE[result.reason]
         elif result.status is AdmitStatus.DELIVERED:
             for f in result.fragments:
-                f.record.disposition = "delivered"
+                codes[f.record] |= _DELIVERED
             while unreached and unreached[-1].time <= now:
                 send = unreached.pop()
                 original_payload[(send.source, send.tag)] = send.payload
             src, tag = frag.source, frag.header.datagram_tag
             want = original_payload.get((src, tag))
-            delivered.append(DeliveredRecord(now, src, origin, tag, result.payload == want))
-        _mark(stack.drain_evictions(), "timeout")
+            delivered.append(DeliveredRecord(now, src, origins[i], tag, result.payload == want))
+        _mark(stack.drain_evictions(), _TIMEOUT)
+        i += 1
 
     while next_tick <= duration and buffer.sessions:
-        _mark(stack.tick(next_tick), "timeout")
+        _mark(stack.tick(next_tick), _TIMEOUT)
         next_tick += TICK_INTERVAL
 
     # read before flush: a block that only starts at the end of the run is no identification
     identified_at = stack.identified_at(attacker) if attacker is not None else None
-    _mark(stack.flush(cfg.duration), "buffered")
+    _mark(stack.flush(cfg.duration), _BUFFERED)
 
     return RunResult(
         name=cfg.name,
@@ -479,7 +564,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
         attack_start=cfg.attack.start if cfg.attack else None,
         sent_datagrams=dict(plan.sent_datagrams),
         sent_fragments=dict(plan.sent_fragments),
-        records=records,
+        records=FrameRecords(times, sources, kinds, origins, codes),
         delivered=delivered,
         identified_at=identified_at,
         mean_availability=stack.buffer.mean_availability(),

@@ -9,7 +9,6 @@ import pytest
 
 from pcsm.attacks import (
     ATTACK_KINDS,
-    KIND_CODES,
     AttackSchedule,
     AttackSpec,
     ScheduledSend,
@@ -24,6 +23,7 @@ from pcsm.attacks import (
 )
 from pcsm.config import load_config
 from pcsm.frag_codec import (
+    KIND_CODES,
     MAX_FRAGMENT_PAYLOAD,
     ExtensionFields,
     Fragment,

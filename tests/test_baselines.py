@@ -4,6 +4,7 @@ import dataclasses
 import hmac
 import random
 import struct
+from array import array
 
 import pytest
 
@@ -85,8 +86,8 @@ def test_vanilla_duplicate_open_frag1_is_structural_drop():
 
 def test_vanilla_never_prefilters():
     stack = VanillaStack()
-    frag = _plain_train(bytes(64), 1, source=9)[0]
-    assert stack.filter_frame(frag.source, frag.header.kind, 0.0) is False
+    times, sources, kinds = array("d", [0.0, 0.5]), array("q", [9, 9]), array("B", [0, 1])
+    assert stack.filter_run(times, sources, kinds, 0, 2) == 0
 
 
 # ---------------------------------------------------------------- csm-like

@@ -13,6 +13,7 @@ from pcsm.attacks import ATTACK_KINDS
 from pcsm.metrics import (
     DROP_DISPOSITIONS,
     FINAL_DISPOSITIONS,
+    GATE_DISPOSITIONS,
     RunMetrics,
     aggregate,
     collect,
@@ -20,11 +21,36 @@ from pcsm.metrics import (
     detection_latency,
     render_table,
 )
-from pcsm.simulator import DeliveredRecord, FrameRecord, RunResult, simulate
+from pcsm.simulator import DeliveredRecord, FrameRecord, FrameRecords, RunResult, simulate
 
 
 def _rec(time, disposition, origin=9):
     return FrameRecord(time, origin, origin, FragmentKind.FRAG1, disposition)
+
+
+def _reference_detection_latency(records, attacker, attack_start):
+    """detection_latency over any iterable of records, in any order: the reference."""
+    arrivals = sorted(
+        (r for r in records if r.origin == attacker and r.time >= attack_start),
+        key=lambda r: r.time,
+    )
+    if not arrivals:
+        return None
+    suffix_start = len(arrivals)
+    for i in range(len(arrivals) - 1, -1, -1):
+        if arrivals[i].disposition not in GATE_DISPOSITIONS:
+            break
+        suffix_start = i
+    if suffix_start == len(arrivals):
+        return None
+    return arrivals[suffix_start].time - arrivals[0].time
+
+
+def _latency(recs, attacker=9, attack_start=900.0):
+    """detection_latency on recs' columns, checked against the reference."""
+    got = detection_latency(FrameRecords.of(recs, attacker), attack_start)
+    assert got == _reference_detection_latency(recs, attacker, attack_start)
+    return got
 
 
 def test_pdr_basic():
@@ -34,12 +60,12 @@ def test_pdr_basic():
 
 
 def test_detection_latency_no_arrivals():
-    assert detection_latency([], 9, 900.0) is None
+    assert _latency([]) is None
 
 
 def test_detection_latency_immediate_gating():
     recs = [_rec(900.0 + i, "untrusted") for i in range(5)]
-    assert detection_latency(recs, 9, 900.0) == 0.0
+    assert _latency(recs) == 0.0
 
 
 def test_detection_latency_suffix_boundary():
@@ -49,12 +75,12 @@ def test_detection_latency_suffix_boundary():
         _rec(902.0, "replay"),
         _rec(903.0, "bad_signature"),
     ]
-    assert detection_latency(recs, 9, 900.0) == 1.0
+    assert _latency(recs) == 1.0
 
 
 def test_detection_latency_never_suppressed():
     recs = [_rec(900.0, "untrusted"), _rec(905.0, "delivered")]
-    assert detection_latency(recs, 9, 900.0) is None
+    assert _latency(recs) is None
 
 
 def test_detection_latency_ignores_other_sources_and_warmup():
@@ -63,16 +89,35 @@ def test_detection_latency_ignores_other_sources_and_warmup():
         _rec(901.0, "buffer_full", origin=3),
         _rec(902.0, "untrusted"),
     ]
-    assert detection_latency(recs, 9, 900.0) == 0.0
+    assert _latency(recs) == 0.0
 
 
-def test_detection_latency_sorts_arrivals():
+def test_records_out_of_time_order_are_rejected():
+    # the reference sorts them; the columns hold a run's arrivals, which are sorted
     recs = [
         _rec(903.0, "untrusted"),
         _rec(900.0, "no_session"),
         _rec(901.5, "untrusted"),
     ]
-    assert detection_latency(recs, 9, 900.0) == 1.5
+    assert _reference_detection_latency(recs, 9, 900.0) == 1.5
+    with pytest.raises(ValueError, match="sorted by time"):
+        FrameRecords.of(recs, 9)
+
+
+def test_records_with_an_unknown_disposition_are_rejected():
+    with pytest.raises(ValueError, match="unknown disposition 'lost'"):
+        FrameRecords.of([_rec(900.0, "lost")], 9)
+
+
+def test_records_read_back_as_built():
+    recs = [_rec(1.0, "delivered", origin=2), _rec(1.0, "untrusted"),
+            FrameRecord(2.5, 9, 9, FragmentKind.FRAGN, "untrusted", True)]
+    records = FrameRecords.of(recs, 9)
+    assert list(records) == recs
+    assert [records[i] for i in range(-3, 3)] == recs + recs
+    assert records[1:] == recs[1:]
+    with pytest.raises(IndexError):
+        records[3]
 
 
 def _quiet_run(stack="vanilla", **over):
@@ -193,7 +238,7 @@ def _reference_collect(result):
     n_legit_drops = sum(legit_drops.values())
     n_hostile_drops = sum(hostile_drops.values())
     if attacker is not None and result.attack_start is not None:
-        det = detection_latency(result.records, attacker, result.attack_start)
+        det = _reference_detection_latency(result.records, attacker, result.attack_start)
         ident = (
             result.identified_at - result.attack_start
             if result.identified_at is not None
@@ -250,6 +295,7 @@ def test_collect_matches_the_multi_pass_reference(stack, kind):
 
 
 def _hand_built_result(records, attacker, attack_start):
+    """A run with the given records, as a list: FrameRecords.of them for collect()."""
     nodes = {0: 1.0, 1: 2.0, 2: 3.0}
     if attacker is not None:
         nodes[attacker] = 4.0
@@ -265,21 +311,38 @@ def _hand_built_result(records, attacker, attack_start):
     )
 
 
+def _collect_both(records, attacker, attack_start):
+    """collect() on the records' columns, and the reference on the list."""
+    listed = _hand_built_result(records, attacker, attack_start)
+    columns = dataclasses.replace(listed, records=FrameRecords.of(records, attacker))
+    return collect(columns).to_json(), _reference_collect(listed).to_json()
+
+
+def _hand_built_records(hostile):
+    # a stray disposition, tied times, and hostile frames on both sides of
+    # the attack start, in time order
+    return [
+        FrameRecord(10.0, 1, 1, FragmentKind.FRAG1, "delivered"),
+        FrameRecord(11.0, 2, 2, FragmentKind.FRAGN, "bad_signature"),
+        FrameRecord(12.0, 1, 1, FragmentKind.FRAGN, "stored"),
+        FrameRecord(20.0, 9, hostile, FragmentKind.FRAG1, "delivered"),
+        FrameRecord(31.0, 9, hostile, FragmentKind.FRAG1, "replay"),
+        FrameRecord(31.0, 9, hostile, FragmentKind.FRAGN, "buffer_full"),
+        FrameRecord(35.0, 9, hostile, FragmentKind.FRAGN, "no_session"),
+        FrameRecord(49.0, 9, hostile, FragmentKind.FRAG1, "untrusted"),
+        FrameRecord(50.0, 9, hostile, FragmentKind.FRAG1, "untrusted", True),
+    ]
+
+
 @pytest.mark.parametrize("attacker,attack_start", [(9, 30.0), (None, None), (9, None)])
 def test_collect_matches_reference_on_hand_built_records(attacker, attack_start):
-    # out-of-order times, a stray disposition, and hostile frames on
-    # both sides of the attack start
-    hostile = 9 if attacker is None else attacker
-    records = [
-        FrameRecord(50.0, 9, hostile, FragmentKind.FRAG1, "untrusted", True),
-        FrameRecord(10.0, 1, 1, FragmentKind.FRAG1, "delivered"),
-        FrameRecord(35.0, 9, hostile, FragmentKind.FRAGN, "no_session"),
-        FrameRecord(20.0, 9, hostile, FragmentKind.FRAG1, "delivered"),
-        FrameRecord(11.0, 2, 2, FragmentKind.FRAGN, "bad_signature"),
-        FrameRecord(31.0, 9, hostile, FragmentKind.FRAG1, "replay"),
-        FrameRecord(12.0, 1, 1, FragmentKind.FRAGN, "stored"),
-        FrameRecord(49.0, 9, hostile, FragmentKind.FRAG1, "untrusted"),
-        FrameRecord(31.0, 9, hostile, FragmentKind.FRAGN, "buffer_full"),
-    ]
-    result = _hand_built_result(records, attacker, attack_start)
-    assert collect(result).to_json() == _reference_collect(result).to_json()
+    records = _hand_built_records(9 if attacker is None else attacker)
+    got, want = _collect_both(records, attacker, attack_start)
+    assert got == want
+
+
+def test_hand_built_records_out_of_time_order_are_rejected():
+    records = _hand_built_records(9)
+    records[0], records[-1] = records[-1], records[0]
+    with pytest.raises(ValueError, match="sorted by time"):
+        _collect_both(records, 9, 30.0)

@@ -4,15 +4,18 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import random
 from array import array
 
 import pytest
 
 from pcsm import baselines
+from pcsm.attacks import AttackSchedule
 from pcsm.baselines import fragment_mac
 from pcsm.cli import _trace_lines
 from pcsm.config import STACKS, load_config, parse_config
 from pcsm.frag_codec import (
+    KIND_CODES,
     MAX_FRAGMENT_PAYLOAD,
     ExtensionFields,
     FragmentHeader,
@@ -21,7 +24,8 @@ from pcsm.frag_codec import (
 )
 from pcsm.hash_chain import chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.simulator import _legit_schedule, plan_arrivals, simulate
+from pcsm.reassembly import PredictiveCsmStack
+from pcsm.simulator import HOSTILE, _legit_schedule, plan_arrivals, simulate
 
 REPO = pathlib.Path(__file__).parent.parent
 DIGESTS = json.loads(
@@ -375,13 +379,15 @@ def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch
     cls = baselines.STACKS[stack]
     replays = []
 
+    plan = plan_arrivals(cfg, 4)
+
     def admit(self, frag, now):
-        if frag.record.origin != frag.source:
+        if plan.origins[frag.record] != frag.source:
             replays.append(frag)
         return baselines.ReceiverStack.admit(self, frag, now)
 
     monkeypatch.setattr(cls, "admit", admit)
-    simulate(cfg, seed=4)
+    simulate(cfg, seed=4, plan=plan)
     sends = {(s.source, s.tag): s for s in _legit_schedule(cfg, 4)}
     assert len(replays) > 100
     for frag in replays:
@@ -399,3 +405,123 @@ def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch
             sig = fragment_mac(b"replay-key", victim.source, FragmentKind.FRAG1, 288,
                                victim.tag, 0, victim.nonce, first)
         assert frag.header.ext == ExtensionFields(255, victim.nonce, sig)
+
+
+def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1)):
+    """cfg's plan for seed with hand-built adversary arrivals.
+
+    rows are (arrival time, source, kind code), each a forged fragment
+    from the attacker (a FragN is an orphan); legit arrivals of other
+    kinds than legit_kinds are left out.
+    """
+    base = plan_arrivals(cfg, seed)
+    attack = AttackSchedule(random.Random(0))
+    for t, source, kind in rows:
+        attack.add(t, kind, source, 200, 0x8000 + len(attack), 12 * kind, attack.draw(96), 96,
+                   -1 if kind else attack.draw(4), attack.draw(8))
+    arrivals = [a for a in zip(base.times, base.sources, base.kinds, base.refs, base.origins)
+                if a[3] >= 0 and a[2] in legit_kinds]
+    arrivals += [(t, source, kind, ~i, base.attacker) for i, (t, source, kind) in enumerate(rows)]
+    arrivals.sort(key=lambda a: a[0])
+    times, sources, kinds, refs, origins = map(list, zip(*arrivals))
+    return base._replace(
+        attack=attack, attack_corrupt=bytearray(len(rows)), wires={},
+        times=array("d", times), sources=array("q", sources), kinds=array("B", kinds),
+        refs=array("i", refs), origins=array("q", origins),
+        codes=array("B", (HOSTILE if ref < 0 else 0 for ref in refs)))
+
+
+def _one_frame_at_a_time(self, times, sources, kinds, i, stop):
+    return i + 1 if self.filter_frame(sources[i], KIND_CODES[kinds[i]], times[i]) else i
+
+
+def _replay_pcsm(cfg, plan, monkeypatch, per_frame):
+    """What one run leaves: records, trust history, metrics, trust and tracker state.
+
+    Also returns the filtered runs as (start, end, stop) arrival indexes.
+    """
+    stacks, runs = [], []
+    make, filter_run = PredictiveCsmStack.from_config.__func__, PredictiveCsmStack.filter_run
+
+    def from_config(cls, cfg, trace):
+        stacks.append(make(cls, cfg, trace))
+        return stacks[-1]
+
+    def spy(self, times, sources, kinds, i, stop):
+        j = filter_run(self, times, sources, kinds, i, stop)
+        if j > i:
+            runs.append((i, j, stop))
+        return j
+
+    with monkeypatch.context() as m:
+        m.setattr(PredictiveCsmStack, "from_config", classmethod(from_config))
+        m.setattr(PredictiveCsmStack, "filter_run", _one_frame_at_a_time if per_frame else spy)
+        result = simulate(cfg, plan.seed, trace=True, plan=plan)
+    [stack] = stacks
+    states = {n: (st.score, st.blacklisted_until) for n, st in stack.engine.states.items()}
+    tracks = {n: tr.last_frag1_time for n, tr in stack.tracker.tracks.items()}
+    return (list(result.records), result.trust_history, collect(result).to_json(), states,
+            tracks), runs
+
+
+def _orphans(source, start, count, step=1.0):
+    return [(start + k * step, source, 1) for k in range(count)]
+
+
+def _fast_forward_case(case):
+    """(config, plan) for one hand-built case; the attacker is node 2, the legit sender node 1."""
+    cfg = _cfg(stack="pcsm", senders=1, duration=400.0,
+               channel={"loss_rate": 0.0, "corruption_rate": 0.0},
+               traffic={"phase_base": 40.0, "phase_step": 0.0},
+               attack={"kind": "late_phase", "start": 1.0})
+    # five orphans put their source on the blacklist at t = 14 (score 0.295)
+    blocked = _orphans(2, 10.0, 5)
+    if case == "long_run":
+        # 200 s of Frag1 and FragN every 0.5 s, with no legit traffic to cut it
+        cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(cfg.traffic, phase_base=300.0))
+        rows = blocked + [(15.0 + 0.5 * k, 2, int(k % 3 > 0)) for k in range(400)]
+    elif case == "lapse":
+        # 20 -> 80 is a gap of exactly one block: the block has lapsed at 80
+        rows = blocked + [(20.0, 2, 1), (80.0, 2, 1), (81.0, 2, 0), (82.0, 2, 1), (142.0, 2, 0)]
+    elif case == "tick":
+        # a legit first fragment alone holds a session open from 40.001 to its
+        # timeout at the 51 s tick, while the blocked attacker sends every 0.25 s
+        rows = blocked + [(15.0 + 0.25 * k, 2, k % 2) for k in range(200)]
+        return cfg, _hand_plan(cfg, 1, rows, legit_kinds=(0,))
+    else:
+        # the attacker frames legit node 1, then sends under its address
+        # while node 1's own trains arrive
+        rows = _orphans(1, 10.0, 5) + _orphans(1, 15.0, 200, step=0.3)
+    return cfg, _hand_plan(cfg, 1, rows)
+
+
+@pytest.mark.parametrize("case", ["long_run", "lapse", "tick", "spoofed"])
+def test_filtered_runs_equal_one_frame_at_a_time(case, monkeypatch):
+    cfg, plan = _fast_forward_case(case)
+    fast, runs = _replay_pcsm(cfg, plan, monkeypatch, per_frame=False)
+    slow, _ = _replay_pcsm(cfg, plan, monkeypatch, per_frame=True)
+    assert fast == slow
+    records, _, _, states, tracks = fast
+    times, n = plan.times, len(plan.times)
+    if case == "long_run":
+        # one run of 199.5 s, up to node 1's first train; its expiry is the
+        # last contact's plus one block
+        [(i, j, stop)] = runs
+        assert (times[i], times[j - 1], plan.sources[j], stop) == (15.0, 214.5, 1, n)
+        assert states[2][1] == 274.5
+        assert tracks[2] == 214.5
+    elif case == "lapse":
+        hostile = [(r.disposition, r.prefiltered) for r in records[5:] if r.origin == 2]
+        assert hostile == [("untrusted", True), ("no_session", False), ("untrusted", True),
+                           ("untrusted", True), ("timeout", False)]
+    elif case == "tick":
+        # runs stop at every whole second while the session is open, then run on
+        cut = [times[j - 1] for i, j, stop in runs if stop < n]
+        assert cut and all(j == stop for i, j, stop in runs if stop < n)
+        assert max(cut) == 51.0 < times[runs[-1][1] - 1]
+        assert {r.disposition for r in records if r.origin == 1} == {"timeout"}
+    else:
+        spoofed = [r for r in records if r.prefiltered and r.source == 1]
+        assert {r.origin for r in spoofed} == {1, 2}
+        assert max(j - i for i, j, _ in runs) > 100
+        assert any(len({plan.origins[k] for k in range(i, j)}) == 2 for i, j, _ in runs)

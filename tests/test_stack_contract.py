@@ -276,3 +276,22 @@ def test_fragn_that_does_not_fit_is_a_duplicate_and_leaves_the_hole_open(name, o
     assert _trust_state(stack, 4) == before
     assert stack.block_events == {}
     assert [s.tag for s in stack.tick(110.5)] == [17]
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_frag1_longer_than_its_datagram_is_a_duplicate_with_no_trust_effect(name):
+    """96 bytes in a first fragment that declares a 64-byte datagram: no session can complete."""
+    stack = _make(name)
+    [first] = _shaped_train(name, 64, 18, 4, [(0, bytes(96))])
+    before = _trust_state(stack, 4)
+    ledger = dict(stack.ledger.entries) if stack.ledger is not None else None
+    res = stack.admit(first, 10.0)
+    assert (res.status, res.reason, res.cpu_ms) == (
+        DROPPED, DropReason.DUPLICATE, VERIFY_CPU[name],
+    )
+    assert _trust_state(stack, 4) == before
+    assert (dict(stack.ledger.entries) if stack.ledger is not None else None) == ledger
+    assert stack.buffer.sessions == {}
+    assert stack.tick(21.0) == []
+    assert stack.block_events == {}
+    assert _trust_state(stack, 4) == before
