@@ -28,6 +28,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from operator import le
 
 from .frag_codec import MAX_FRAGMENT_PAYLOAD
 
@@ -113,10 +115,11 @@ _FRAG1, _FRAGN = 0, 1
 def sort_columns(columns: list[array]) -> None:
     """Stable sort of equal-length columns by the first one, in place."""
     key = columns[0]
-    order = sorted(range(len(key)), key=lambda i: key[i])
-    if any(i != j for i, j in enumerate(order)):
-        for col in columns:
-            col[:] = array(col.typecode, (col[i] for i in order))
+    if all(map(le, key, islice(key, 1, None))):
+        return  # the usual case: no order list to build
+    order = sorted(range(len(key)), key=key.__getitem__)
+    for col in columns:
+        col[:] = array(col.typecode, map(col.__getitem__, order))
 
 
 class AttackSchedule:

@@ -27,6 +27,7 @@ import hmac
 import struct
 
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
+from .hash_chain import keyed
 from .reassembly import PredictiveCsmStack, ReceiverStack, ReplayLedger
 
 # CPU milliseconds per independent per-fragment MAC (sign or verify).
@@ -48,7 +49,9 @@ def fragment_mac(
         + nonce
         + payload
     )
-    return hmac.new(key, msg, "sha1").digest()[:8]
+    h = keyed(key).copy()
+    h.update(msg)
+    return h.digest()[:8]
 
 
 def mac_sign_fragments(
@@ -142,17 +145,14 @@ class SecuPanLikeStack(ReceiverStack):
     def from_config(cls, cfg, trace: bool) -> SecuPanLikeStack:
         return cls(cfg.key, cfg.buffer.slots, cfg.buffer.timeout)
 
-    def _authentic(self, frag: Fragment) -> bool:
-        ext = frag.header.ext
-        if ext is None:
+    def _authentic(self, source: int, kind: FragmentKind, size: int, tag: int, offset: int,
+                   nonce: bytes | None, signature: bytes | None, payload: bytes) -> bool:
+        if signature is None:
             return False
-        h = frag.header
-        nonce = ext.nonce if h.kind is FragmentKind.FRAG1 else b""
-        expected = fragment_mac(
-            self.key, frag.source, h.kind, h.datagram_size, h.datagram_tag,
-            h.datagram_offset, nonce, frag.payload,
-        )
-        return hmac.compare_digest(expected, ext.signature)
+        if kind is not FragmentKind.FRAG1:
+            nonce = b""
+        expected = fragment_mac(self.key, source, kind, size, tag, offset, nonce, payload)
+        return hmac.compare_digest(expected, signature)
 
 
 # Every receiver stack by its config name, in report order.

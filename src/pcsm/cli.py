@@ -38,7 +38,7 @@ from .config import (
 from .frag_codec import ExtensionFields, FragmentHeader, FragmentKind, encode_header
 from .hash_chain import reference_vectors
 from .metrics import RunMetrics, aggregate, collect, render_table
-from .simulator import plan_arrivals, simulate, world
+from .simulator import legit_traffic, plan_arrivals, simulate, traffic_world, world
 from .trust_engine import TrustParams
 
 EXIT_OK = 0
@@ -76,22 +76,29 @@ def _write_text(path: Path, text: str) -> None:
 def _sweep(cfgs, seeds, keep=None, trace=False) -> list[list]:
     """keep(simulate(cfg, seed)) for every config and seed, one list per config.
 
-    Seed-outer: the configs that share a world (see simulator.world)
-    share one arrival plan per seed, which is dropped once they have
-    run, and each RunResult is dropped as soon as keep (default
-    collect) has read it.
+    Seed-outer: the configs that share a traffic world share one legit
+    traffic per seed, and those that share a world one arrival plan over
+    it (see simulator.traffic_world and world); each is dropped once its
+    configs have run, and each RunResult once keep (default collect) has
+    read it.
     """
     keep = collect if keep is None else keep
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault(world(cfg), []).append(i)
+        groups.setdefault(traffic_world(cfg), {}).setdefault(world(cfg), []).append(i)
     kept: list[list] = [[] for _ in cfgs]
     for seed in seeds:
-        for members in groups.values():
-            plan = plan_arrivals(cfgs[members[0]], seed)
-            for i in members:
-                kept[i].append(keep(simulate(cfgs[i], seed, trace=trace, plan=plan)))
-            del plan  # freed before the next one is built
+        for worlds in groups.values():
+            traffic = None
+            for members in worlds.values():
+                first = cfgs[members[0]]
+                if traffic is None:
+                    traffic = legit_traffic(first, seed)
+                plan = plan_arrivals(first, seed, traffic)
+                for i in members:
+                    kept[i].append(keep(simulate(cfgs[i], seed, trace=trace, plan=plan)))
+                del plan  # freed before the next one is built
+            del traffic
     return kept
 
 

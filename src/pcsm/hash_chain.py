@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
 
@@ -39,8 +40,16 @@ class HashChainState:
     nonce: bytes
 
 
+@lru_cache(maxsize=32)
+def keyed(key: bytes) -> hmac.HMAC:
+    """HMAC-SHA1 with key absorbed once (RFC 2104, section 4): copy it, never update it."""
+    return hmac.new(key, digestmod=_ALGORITHM)
+
+
 def _digest(key: bytes, data: bytes) -> bytes:
-    return hmac.new(key, data, _ALGORITHM).digest()
+    h = keyed(key).copy()
+    h.update(data)
+    return h.digest()
 
 
 def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes) -> HashChainState:

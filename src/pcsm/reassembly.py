@@ -19,8 +19,11 @@ for traffic that already failed the chain.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .frag_codec import KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
 from .hash_chain import HashChainState, seed_chain, validate_fragment
@@ -28,6 +31,8 @@ from .trust_engine import ObservationTracker, TrustEngine, TrustParams
 
 # CPU milliseconds charged per keyed-hash operation (seed or verify).
 HASH_CPU_MS = 0.5
+# the nonce of a first fragment that carries no extension
+_NO_NONCE = bytes(NONCE_LEN)
 
 
 class DropReason(str, Enum):
@@ -52,17 +57,18 @@ class AdmitStatus(Enum):
     DROPPED = "dropped"
 
 
-@dataclass
-class AdmitResult:
+class AdmitResult(NamedTuple):
     status: AdmitStatus
     reason: DropReason | None = None
     payload: bytes | None = None
     cpu_ms: float = 0.0
     # fragments released by a delivery, for the caller's accounting
-    fragments: list[Fragment] = field(default_factory=list)
+    fragments: Sequence[Fragment] = ()
 
 
+@lru_cache(maxsize=64)
 def _dropped(reason: DropReason, cpu_ms: float = 0.0) -> AdmitResult:
+    # immutable, so one result serves every drop with the same reason and charge
     return AdmitResult(AdmitStatus.DROPPED, reason=reason, cpu_ms=cpu_ms)
 
 
@@ -109,10 +115,11 @@ class ReassemblySession:
     fragments: list[Fragment] = field(default_factory=list)
     received_bytes: int = 0
 
-    def fits(self, frag: Fragment) -> bool:
-        """Whether frag ends inside the datagram and shares no byte with a stored fragment."""
-        start = frag.header.datagram_offset * OFFSET_UNIT
-        end = start + len(frag.payload)
+    def fits(self, offset: int, length: int) -> bool:
+        """Whether length bytes at offset (in OFFSET_UNITs) end inside the
+        datagram and share no byte with a stored fragment."""
+        start = offset * OFFSET_UNIT
+        end = start + length
         if end > self.expected_size:
             return False
         for stored in self.fragments:
@@ -199,7 +206,9 @@ class ReassemblyBuffer:
 class ReceiverStack:
     """The admission pipeline every receiver stack runs; subclasses add gates.
 
-    admit() holds the one fixed gate order.  Every gate here is open and
+    admit_fields() holds the one fixed gate order, over a frame's header
+    fields and payload, and builds the frame's Fragment only to store it;
+    admit() feeds it a Fragment's fields.  Every gate here is open and
     every outcome hook a no-op, so this class as it stands is the vanilla
     stack.  An open-session collision is a REPLAY on a stack with a replay
     ledger; without one it cannot be told from tag wrap-around and is a
@@ -248,7 +257,8 @@ class ReceiverStack:
     def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
         return False
 
-    def _authentic(self, frag: Fragment) -> bool:
+    def _authentic(self, source: int, kind: FragmentKind, size: int, tag: int, offset: int,
+                   nonce: bytes | None, signature: bytes | None, payload: bytes) -> bool:
         return True
 
     def _screen(self, source: int, tag: int, now: float) -> bool:
@@ -270,27 +280,40 @@ class ReceiverStack:
         """A datagram completed."""
 
     def admit(self, frag: Fragment, now: float) -> AdmitResult:
+        """Run frag through the gates; admit_fields has the sequence."""
+        header = frag.header
+        ext = header.ext
+        nonce, signature = (None, None) if ext is None else (ext.nonce, ext.signature)
+        return self.admit_fields(
+            frag.source, header.kind, header.datagram_size, header.datagram_tag,
+            header.datagram_offset, nonce, signature, frag.payload, now, lambda: frag)
+
+    def admit_fields(self, src: int, kind: FragmentKind, size: int, tag: int, offset: int,
+                     nonce: bytes | None, signature: bytes | None, payload: bytes, now: float,
+                     build) -> AdmitResult:
+        """The gate sequence, over one frame's header fields and payload.
+
+        nonce and signature are the extension's, both None on a frame
+        without one.  build() returns the frame as a Fragment; it is
+        called only when a session stores the frame.
+        """
         buffer = self.buffer
         buffer.advance(now)
-        src = frag.source
-        header = frag.header
-        kind = header.kind
         if self._blocked(src, kind, now):
             return _dropped(DropReason.UNTRUSTED)
         cpu = self.VERIFY_CPU_MS
-        if not self._authentic(frag):
+        if not self._authentic(src, kind, size, tag, offset, nonce, signature, payload):
             return _dropped(DropReason.BAD_SIGNATURE, cpu)
-        tag = header.datagram_tag
-        ext = header.ext
         if kind is FragmentKind.FRAG1:
-            nonce = ext.nonce if ext is not None else bytes(NONCE_LEN)
+            if nonce is None:
+                nonce = _NO_NONCE
             ledger = self.ledger
             if ledger is not None and ledger.seen(src, tag, nonce, now):
                 return _dropped(DropReason.REPLAY, cpu)
             if buffer.find(src, tag) is not None:
                 collision = DropReason.DUPLICATE if ledger is None else DropReason.REPLAY
                 return _dropped(collision, cpu)
-            if len(frag.payload) > header.datagram_size:
+            if len(payload) > size:
                 return _dropped(DropReason.DUPLICATE, cpu)
             if not self._screen(src, tag, now):
                 return _dropped(DropReason.UNTRUSTED, cpu)
@@ -298,11 +321,11 @@ class ReceiverStack:
                 return _dropped(DropReason.BUFFER_FULL, cpu)
             if ledger is not None:
                 ledger.record(src, tag, nonce, now)
-            chain = self._seed(frag.payload, nonce)
+            chain = self._seed(payload, nonce)
             if chain is not None:
                 cpu += HASH_CPU_MS
-            session = ReassemblySession(src, tag, header.datagram_size, now, chain)
-            session.store(frag)
+            session = ReassemblySession(src, tag, size, now, chain)
+            session.store(build())
             if not session.complete:
                 buffer.open(session)
                 return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
@@ -314,15 +337,14 @@ class ReceiverStack:
             chain = session.chain
             if chain is not None:
                 cpu += HASH_CPU_MS
-                signature = ext.signature if ext is not None else b""
-                ok, chain = validate_fragment(chain, frag.payload, signature)
+                ok, chain = validate_fragment(chain, payload, signature or b"")
                 if not ok:
                     self._rejected(src, now, True)
                     return _dropped(DropReason.BAD_SIGNATURE, cpu)
-            if not session.fits(frag):
+            if not session.fits(offset, len(payload)):
                 return _dropped(DropReason.DUPLICATE, cpu)
             session.chain = chain
-            session.store(frag)
+            session.store(build())
             if not session.complete:
                 return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
             buffer.close(session)

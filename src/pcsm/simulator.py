@@ -12,16 +12,19 @@ Randomness is split into named streams keyed by the run seed alone, so
 a seed fully determines the traffic, the adversary schedule, and the
 channel, independently of which stack variant is under test.  That
 alignment is what makes cross-stack comparisons under a matched seed
-meaningful, and it splits a run in two:
+meaningful, and it splits a run in three:
 
-- Plan (plan_arrivals): the legit sends with their loss and corruption
-  fates, the adversary schedule with its channel fates, the sent
-  counts, and every frame that reaches the root, stable-sorted by
-  arrival time (legitimate fragments before adversary frames at equal
-  times).  It depends on the seed and the world (every config field
-  except the stack, its buffer and trust settings, and the name), and
-  is stored as columns.  It signs the legit fragments lazily, once per
-  wire format.
+- Traffic (legit_traffic): the legit sends with their loss and
+  corruption fates, and each legit fragment that reaches the root.  It
+  depends on the seed and the traffic world (the world below without
+  the attack), and it is itself the plan of that world with no
+  adversary.  It signs the legit fragments lazily, once per wire format.
+- Plan (plan_arrivals): a traffic plus the adversary schedule with its
+  channel fates, the sent counts, and every frame that reaches the
+  root, stable-sorted by arrival time (legitimate fragments before
+  adversary frames at equal times).  It depends on the seed and the
+  world (every config field except the stack, its buffer and trust
+  settings, and the name), and is stored as columns.
 - Replay (simulate): build the stack, visit the plan's arrivals in one
   pass, and keep the ledgers and records.  No event schedules another,
   so nothing is added to the plan on the way.  Housekeeping ticks fall
@@ -29,22 +32,25 @@ meaningful, and it splits a run in two:
   while the reassembly buffer holds an open session; on an empty buffer
   a tick changes nothing.
 
-A plan lives as long as its caller keeps it: simulate builds one per
-run unless given one, and the command-line sweeps build one per seed
-and world, replay it for every stack and trust cell that shares it,
-and drop it before the next.  Nothing caches plans across calls.
+A traffic or plan lives as long as its caller keeps it: simulate builds
+a plan per run unless given one, and the command-line sweeps build one
+traffic per seed and traffic world, one plan over it per world, replay
+each plan for every stack and trust cell that shares it, and drop both
+before the next seed.  Nothing caches them across calls.
 
 Every arrival meets the radio prefilter first, which sees only the link
 source and the dispatch kind, and the stack's filter_run hands it a
 whole run of arrivals at once: one source's frames, up to the next tick
 that could change what the stack does.  A run the prefilter drops costs
 the simulator one slice write to the run's disposition codes
-("untrusted", prefiltered), and no fragment or record.  Any other
-frame gets a fragment built for this run, whose record is its arrival
-index: a legit one from the plan's signed fragments, an adversary one
-straight from its row of the attack schedule, in the wire shape of the
-stack under test.  A header replay goes out with the victim's own
-signed first-fragment header.
+("untrusted", prefiltered), and no fragment or record.  A legit frame
+that passes gets a fragment built for this run from the plan's signed
+fragments, whose record is its arrival index.  An adversary frame goes
+through the stack's gates straight from its row of the attack schedule,
+with blob slices for its payload, nonce and signature, in the wire
+shape of the stack under test, and gets a fragment only if a session
+stores it.  A header replay is the exception: it is built as a fragment
+that carries the victim's own signed first-fragment header.
 
 A run's records are FrameRecords: the plan's arrival columns plus one
 byte per arrival for this run's disposition.  A FrameRecord is built
@@ -57,9 +63,9 @@ import heapq  # unused here; bench/layers.py patches simulator.heapq when tracin
 import math
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
@@ -77,7 +83,7 @@ from .frag_codec import (
     header_length,
 )
 from .hash_chain import seed_chain, sign_fragments
-from .reassembly import HASH_CPU_MS, AdmitStatus, DropReason
+from .reassembly import HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
 
 PROPAGATION_DELAY = 0.001
 TICK_INTERVAL = 1.0
@@ -279,6 +285,11 @@ def world(cfg: ScenarioConfig) -> tuple:
     return tuple(getattr(cfg, name) for name in _WORLD_FIELDS)
 
 
+def traffic_world(cfg: ScenarioConfig) -> tuple:
+    """The part of a config its legit traffic depends on: the world without its attack."""
+    return world(replace(cfg, attack=None))
+
+
 class _Wire(NamedTuple):
     """A plan's traffic in one wire format."""
 
@@ -297,7 +308,8 @@ class ArrivalPlan(NamedTuple):
     arrival order, as columns.  A frame's ref is the index of its legit
     fragment, or ~index of its adversary emission.  Build one with
     plan_arrivals; simulate only reads it, except to sign the legit
-    fragments once per wire format on first use.
+    fragments once per wire format on first use.  A plan with an
+    adversary shares the legit part with the plan of its traffic.
     """
 
     seed: int
@@ -320,6 +332,8 @@ class ArrivalPlan(NamedTuple):
     # channel corruption, per legit fragment and per adversary emission
     legit_corrupt: bytearray
     attack_corrupt: bytearray
+    # the plan without the adversary (see legit_traffic), None if this is it
+    traffic: ArrivalPlan | None
     # signer -> _Wire, filled by wire() on first use
     wires: dict
 
@@ -363,6 +377,15 @@ def signed_fragments(key: bytes, send: ScheduledSend, signer: str | None) -> lis
 
 def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
     with_ext = signer is not None
+    if plan.traffic is not None:
+        # the legit traffic's wire, plus the adversary's airtime
+        header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
+        tx = 0.0
+        for code, n in zip(plan.attack.kinds, plan.attack.payload_len):
+            tx += airtime(header_lens[code] + n)
+        legit = plan.traffic.wire(signer)
+        return _Wire(legit.fragments, {**legit.cpu_ms, plan.attacker: 0.0},
+                     {**legit.tx_s, plan.attacker: tx})
     sign_cpu_ms = _SIGN_CPU_MS[signer]
     fragments: list[Fragment] = []
     cpu_ms = dict.fromkeys(plan.sent_fragments, 0.0)
@@ -374,30 +397,17 @@ def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
             tx_s[src] += airtime(header_length(frag.header.kind, with_ext) + len(frag.payload))
             cpu_ms[src] += sign_cpu_ms
         fragments += frags
-    if plan.attack is not None:
-        header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
-        tx = tx_s[plan.attacker]
-        for code, n in zip(plan.attack.kinds, plan.attack.payload_len):
-            tx += airtime(header_lens[code] + n)
-        tx_s[plan.attacker] = tx
     return _Wire(fragments, cpu_ms, tx_s)
 
 
-def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
-    """Draw one seed's traffic, adversary schedule and channel fates."""
+def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
+    """The plan of cfg's world without its adversary, which every traffic_world() peer shares."""
     sends = _legit_schedule(cfg, seed)
     rng_corrupt = random.Random(f"{seed}:corrupt")
-    loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
-
-    attacker = cfg.attack.attacker if cfg.attack else None
+    corruption_rate = cfg.channel.corruption_rate
     sent_datagrams = {src: 0 for src in range(1, cfg.senders + 1)}
     sent_fragments = dict(sent_datagrams)
-    if attacker is not None:
-        sent_fragments[attacker] = 0
     times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
-    origins, codes = array("q"), array("B")
-
-    # legitimate traffic, fragment by fragment in send order
     legit_corrupt = bytearray()
     firsts = array("i")
     pacing = cfg.traffic.pacing
@@ -414,34 +424,73 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
                 sources.append(src)
                 kinds.append(j > 0)
                 refs.append(len(legit_corrupt) - 1)
-                origins.append(src)
-                codes.append(0)
+    columns = [times, sources, kinds, refs]
+    sort_columns(columns)
+    return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, firsts, None, None,
+                       sent_datagrams, sent_fragments, *columns, sources[:],
+                       array("B", bytes(len(times))), legit_corrupt, bytearray(), None, {})
+
+
+def plan_arrivals(cfg: ScenarioConfig, seed: int,
+                  traffic: ArrivalPlan | None = None) -> ArrivalPlan:
+    """Draw one seed's traffic, adversary schedule and channel fates.
+
+    traffic, if given, is legit_traffic for the same seed and traffic_world();
+    the plan is the same either way.
+    """
+    if traffic is None:
+        traffic = legit_traffic(cfg, seed)
+    else:
+        traffic.check(replace(cfg, attack=None), seed)
+    if cfg.attack is None:
+        return traffic
 
     # adversary traffic, one loss and one corruption draw per emission
-    attack = None
+    attacker = cfg.attack.attacker
+    rng_attack = random.Random(f"{seed}:attack")
+    rng_chan = random.Random(f"{seed}:attack-channel")
+    loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
+    attack = build_attack(cfg.attack, traffic.sends, cfg.duration, rng_attack)
+    sent_fragments = {**traffic.sent_fragments, attacker: len(attack)}
+    times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
     attack_corrupt = bytearray()
-    if cfg.attack is not None:
-        rng_attack = random.Random(f"{seed}:attack")
-        rng_chan = random.Random(f"{seed}:attack-channel")
-        attack = build_attack(cfg.attack, sends, cfg.duration, rng_attack)
-        sent_fragments[attacker] += len(attack)
-        draw = rng_chan.random
-        for i, (t, source, code) in enumerate(zip(attack.times, attack.sources, attack.kinds)):
-            lost = draw() < loss_rate
-            attack_corrupt.append(draw() < corruption_rate)
-            if not lost:
-                times.append(t + PROPAGATION_DELAY)
-                sources.append(source)
-                kinds.append(code)
-                refs.append(~i)
-                origins.append(attacker)
-                codes.append(HOSTILE)
+    draw = rng_chan.random
+    for i, (t, source, code) in enumerate(zip(attack.times, attack.sources, attack.kinds)):
+        lost = draw() < loss_rate
+        attack_corrupt.append(draw() < corruption_rate)
+        if not lost:
+            times.append(t + PROPAGATION_DELAY)
+            sources.append(source)
+            kinds.append(code)
+            refs.append(~i)
+    hostile = [times, sources, kinds, refs, array("q", [attacker]) * len(times),
+               array("B", [HOSTILE]) * len(times)]
+    # a schedule is time-sorted, and so is the traffic
+    columns = _merge([traffic.times, traffic.sources, traffic.kinds, traffic.refs,
+                      traffic.origins, traffic.codes], hostile)
+    return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, traffic.firsts, attacker,
+                       attack, traffic.sent_datagrams, sent_fragments, *columns,
+                       traffic.legit_corrupt, attack_corrupt, traffic, {})
 
-    # stable, so equal arrival times keep legit-then-adversary emission order
-    sort_columns([times, sources, kinds, refs, origins, codes])
-    return ArrivalPlan(seed, world(cfg), cfg.key, sends, firsts, attacker, attack, sent_datagrams,
-                       sent_fragments, times, sources, kinds, refs, origins, codes, legit_corrupt,
-                       attack_corrupt, {})
+
+def _merge(first: list[array], second: list[array]) -> list[array]:
+    """Two sets of columns, each sorted by its first (time) column, as one.
+
+    Stable, as sorting first's rows followed by second's would be: first's
+    rows come before second's at equal times.
+    """
+    later = second[0]
+    merged = [array(col.typecode) for col in first]
+    at = 0
+    for i, t in enumerate(first[0]):
+        upto = bisect_left(later, t, at)
+        for out, mine, theirs in zip(merged, first, second):
+            out += theirs[at:upto]
+            out.append(mine[i])
+        at = upto
+    for out, theirs in zip(merged, second):
+        out += theirs[at:]
+    return merged
 
 
 def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
@@ -477,8 +526,10 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     next_tick = TICK_INTERVAL
     filter_run = stack.filter_run
     header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
-    legit, legit_corrupt, firsts = wire.fragments, plan.legit_corrupt, plan.firsts
-    attack, attack_corrupt = plan.attack, plan.attack_corrupt
+    legit, legit_corrupt = wire.fragments, plan.legit_corrupt
+    if plan.attack is not None:
+        payload_len = plan.attack.payload_len
+        admit_emission = _emission_admitter(stack, plan, with_ext, legit)
     times, sources, kinds, refs, origins = (
         plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
     codes = bytearray(plan.codes)
@@ -490,6 +541,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
                 codes[frag.record] |= code
 
     i, n = 0, len(codes)
+    # the first arrival after stop_tick, found once per tick
+    stop_tick, tick_stop = -1.0, n
     while i < n:
         now = times[i]
         # ticks strictly before this arrival; on an empty buffer a tick
@@ -503,7 +556,9 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
 
         # a filtered run stops before the next tick that has a session to act on
         if buffer.sessions and next_tick <= duration:
-            stop = bisect_right(times, next_tick, i)
+            if stop_tick != next_tick:
+                stop_tick, tick_stop = next_tick, bisect_right(times, next_tick, i)
+            stop = tick_stop
         else:
             stop = n
         j = filter_run(times, sources, kinds, i, stop)
@@ -513,22 +568,20 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             i = j
             continue
 
-        source, code, ref = sources[i], kinds[i], refs[i]
+        code, ref = kinds[i], refs[i]
+        # airtime() inlined: the RX charge of the frame's header and payload
         if ref >= 0:
             # a fresh fragment per run: corruption and the record are per run
             sent = legit[ref]
-            frag = Fragment(sent.header, sent.payload, source)
-            corrupt = legit_corrupt[ref]
+            root.rx_s += (header_lens[code] + len(sent.payload)) * 8 / BITRATE
+            frag = Fragment(sent.header, sent.payload, sources[i])
+            if legit_corrupt[ref]:
+                frag.payload = _corrupt_payload(frag.payload)
+            frag.record = i
+            result = stack.admit(frag, now)
         else:
-            frag = _materialize_emission(attack, ~ref, with_ext, legit, firsts)
-            corrupt = attack_corrupt[~ref]
-        nbytes = header_lens[code] + len(frag.payload)
-        if corrupt:
-            frag.payload = _corrupt_payload(frag.payload)
-        frag.record = i
-
-        root.rx_s += airtime(nbytes)
-        result = stack.admit(frag, now)
+            root.rx_s += (header_lens[code] + payload_len[~ref]) * 8 / BITRATE
+            result = admit_emission(~ref, i, now)
         root.cpu_ms += result.cpu_ms
 
         if result.status is AdmitStatus.DROPPED:
@@ -539,10 +592,13 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             while unreached and unreached[-1].time <= now:
                 send = unreached.pop()
                 original_payload[(send.source, send.tag)] = send.payload
-            src, tag = frag.source, frag.header.datagram_tag
+            # the frame just admitted is the last one its session stored
+            last = result.fragments[-1]
+            src, tag = last.source, last.header.datagram_tag
             want = original_payload.get((src, tag))
             delivered.append(DeliveredRecord(now, src, origins[i], tag, result.payload == want))
-        _mark(stack.drain_evictions(), _TIMEOUT)
+        if stack.evictions:
+            _mark(stack.drain_evictions(), _TIMEOUT)
         i += 1
 
     while next_tick <= duration and buffer.sessions:
@@ -573,6 +629,45 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
         block_events=dict(stack.block_events),
         trust_history=stack.trust_history,
     )
+
+
+def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fragment]):
+    """admit(k, record, now): adversary emission k, arrival record, through stack's gates.
+
+    A header replay goes to stack.admit as a Fragment; any other emission
+    to stack.admit_fields, as its row and blob slices, and it becomes a
+    Fragment only if a session stores it.
+    """
+    attack, firsts, corrupt = plan.attack, plan.firsts, plan.attack_corrupt
+    blob, victims, sources, kinds = attack.blob, attack.victims, attack.sources, attack.kinds
+    sizes, tags, offsets = attack.sizes, attack.tags, attack.offsets
+    payload_at, payload_len, nonce_at, sig_at = (
+        attack.payload_at, attack.payload_len, attack.nonce_at, attack.sig_at)
+    admit_fields = stack.admit_fields
+
+    def admit(k: int, record: int, now: float) -> AdmitResult:
+        at = payload_at[k]
+        payload = bytes(blob[at : at + payload_len[k]])
+        if corrupt[k]:
+            payload = _corrupt_payload(payload)
+
+        def build() -> Fragment:
+            frag = _materialize_emission(attack, k, with_ext, legit, firsts)
+            frag.payload, frag.record = payload, record
+            return frag
+
+        if victims[k] >= 0:
+            return stack.admit(build(), now)
+        nonce = signature = None
+        if with_ext:
+            at = nonce_at[k]
+            nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
+            at = sig_at[k]
+            signature = bytes(blob[at : at + 8])
+        return admit_fields(sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k],
+                            nonce, signature, payload, now, build)
+
+    return admit
 
 
 def _materialize_emission(attack: AttackSchedule, i: int, with_ext: bool,

@@ -292,3 +292,13 @@ def test_fragment_mac_and_signing_match_reference():
         signed = mac_sign_fragments(key, frags, nonce, source, trust_byte)
         assert [f.header for f in signed] == expected
         assert all(f.source == source for f in signed)
+
+
+def test_fragment_mac_equals_the_one_shot_hmac():
+    keys = [bytes((5 * i + n) % 256 for i in range(n)) for n in (1, 16, 64, 65, 100)]
+    for n in range(201):
+        payload = bytes((11 * i + n) % 256 for i in range(n))
+        for key in keys:
+            for kind, nonce in ((FragmentKind.FRAG1, bytes(range(4))), (FragmentKind.FRAGN, b"")):
+                args = (n, kind, 200 + n, 0x8000 + n, n % 256, nonce, payload)
+                assert fragment_mac(key, *args) == _ref_fragment_mac(key, *args)

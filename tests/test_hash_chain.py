@@ -20,6 +20,7 @@ from pcsm.hash_chain import (
     TAG_LEN,
     EmptyKey,
     HashChainState,
+    _digest,
     chain_tag,
     next_hash,
     seed_chain,
@@ -244,3 +245,16 @@ def test_next_hash_matches_replace_reference():
         assert advanced == expected
         assert tag == digest[:TAG_LEN]
         state = advanced
+
+
+# 64 bytes is SHA-1's block: longer keys are hashed first, shorter ones padded
+KEYED_LENGTHS = (1, 16, 64, 65, 100)
+
+
+def test_keyed_digest_equals_the_one_shot_hmac():
+    keys = [bytes((7 * i + n) % 256 for i in range(n)) for n in KEYED_LENGTHS]
+    for n in range(201):
+        msg = bytes((3 * i + n) % 256 for i in range(n))
+        for key in keys:  # alternating keys, so each call meets another key's state first
+            want = hmac.new(key, msg, "sha1").digest()
+            assert _digest(key, msg) == want == _ref_hmac_sha1(key, msg)

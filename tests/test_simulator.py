@@ -9,8 +9,8 @@ from array import array
 
 import pytest
 
-from pcsm import baselines
-from pcsm.attacks import AttackSchedule
+from pcsm import baselines, cli, simulator
+from pcsm.attacks import ATTACK_KINDS, AttackSchedule
 from pcsm.baselines import fragment_mac
 from pcsm.cli import _trace_lines
 from pcsm.config import STACKS, load_config, parse_config
@@ -24,8 +24,16 @@ from pcsm.frag_codec import (
 )
 from pcsm.hash_chain import chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.reassembly import PredictiveCsmStack
-from pcsm.simulator import HOSTILE, _legit_schedule, plan_arrivals, simulate
+from pcsm.reassembly import PredictiveCsmStack, ReassemblySession
+from pcsm.simulator import (
+    HOSTILE,
+    _corrupt_payload,
+    _legit_schedule,
+    _materialize_emission,
+    legit_traffic,
+    plan_arrivals,
+    simulate,
+)
 
 REPO = pathlib.Path(__file__).parent.parent
 DIGESTS = json.loads(
@@ -525,3 +533,115 @@ def test_filtered_runs_equal_one_frame_at_a_time(case, monkeypatch):
         assert {r.origin for r in spoofed} == {1, 2}
         assert max(j - i for i, j, _ in runs) > 100
         assert any(len({plan.origins[k] for k in range(i, j)}) == 2 for i, j, _ in runs)
+
+
+def _fragment_path_admitter(stack, plan, with_ext, legit):
+    """Every adversary emission built as a Fragment first, then admitted: the reference."""
+    def admit(k, record, now):
+        frag = _materialize_emission(plan.attack, k, with_ext, legit, plan.firsts)
+        if plan.attack_corrupt[k]:
+            frag.payload = _corrupt_payload(frag.payload)
+        frag.record = record
+        return stack.admit(frag, now)
+
+    return admit
+
+
+def _run_and_stores(cfg, seed, plan, monkeypatch, admitter=None):
+    """A run's codes, deliveries, power, trust history and blocks, and every stored fragment."""
+    stored = []
+    store = ReassemblySession.store
+
+    def spy(self, frag):
+        stored.append((frag.record, frag.source, frag.header, frag.payload))
+        store(self, frag)
+
+    with monkeypatch.context() as m:
+        m.setattr(ReassemblySession, "store", spy)
+        if admitter is not None:
+            m.setattr(simulator, "_emission_admitter", admitter)
+        r = simulate(cfg, seed, trace=True, plan=plan)
+    return (bytes(r.records.codes), r.delivered, r.node_power_mw, r.trust_history,
+            r.block_events), stored
+
+
+@pytest.mark.parametrize("corruption", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_hostile_frames_from_the_columns_equal_the_fragment_path(kind, corruption, monkeypatch):
+    # no bundled config corrupts hostile payloads; the stored fragments show it
+    hostile_stored = 0
+    for seed in (1, 2):
+        plan = None
+        for stack in STACKS:
+            cfg = load_config(REPO / f"configs/{stack}-{kind}.yaml")
+            cfg = dataclasses.replace(
+                cfg, channel=dataclasses.replace(cfg.channel, corruption_rate=corruption))
+            plan = plan or plan_arrivals(cfg, seed)
+            got, got_stored = _run_and_stores(cfg, seed, plan, monkeypatch)
+            want, want_stored = _run_and_stores(cfg, seed, plan, monkeypatch,
+                                                _fragment_path_admitter)
+            assert got == want
+            assert got_stored == want_stored
+            hostile_stored += sum(1 for rec, *_ in got_stored if plan.refs[rec] < 0)
+    assert hostile_stored > 0
+
+
+def _plan_state(plan):
+    columns = {name: bytes(getattr(plan, name)) for name in (
+        "times", "sources", "kinds", "refs", "origins", "codes", "firsts", "legit_corrupt",
+        "attack_corrupt")}
+    wires = {}
+    for signer in (None, "chain", "mac"):
+        wire = plan.wire(signer)
+        wires[signer] = ([(f.header, f.payload, f.source) for f in wire.fragments],
+                         wire.cpu_ms, wire.tx_s)
+    return columns, plan.sends, plan.sent_datagrams, plan.sent_fragments, wires
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_plans_over_shared_traffic_equal_plans_built_alone(seed):
+    cfgs = [load_config(REPO / f"configs/pcsm-{kind}.yaml") for kind in ("none",) + ATTACK_KINDS]
+    traffic = legit_traffic(cfgs[0], seed)
+    shared = [plan_arrivals(cfg, seed, traffic) for cfg in cfgs]
+    for plan in shared:
+        plan.wire(None), plan.wire("chain"), plan.wire("mac")
+    # compared only once every plan has used the traffic, so none may have changed it
+    for cfg, plan in zip(cfgs, shared):
+        assert _plan_state(plan) == _plan_state(plan_arrivals(cfg, seed))
+
+
+def test_traffic_for_another_world_is_rejected():
+    cfg = load_config(REPO / "configs/pcsm-early_frag1.yaml")
+    with pytest.raises(ValueError, match="another key"):
+        plan_arrivals(cfg, 1, legit_traffic(dataclasses.replace(cfg, key=b"another-key"), 1))
+    with pytest.raises(ValueError, match="another attack"):
+        plan_arrivals(cfg, 1, plan_arrivals(cfg, 1))
+    with pytest.raises(ValueError, match="seed 1, not 2"):
+        plan_arrivals(cfg, 2, legit_traffic(cfg, 1))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(key=b"another-key"), dict(traffic={"pacing": 0.2}), dict(channel={"loss_rate": 0.1}),
+     dict(senders=3), dict(duration=290.0)],
+    ids=["key", "traffic", "channel", "senders", "duration"],
+)
+def test_sweep_shares_legit_traffic_only_within_a_traffic_world(change, monkeypatch):
+    base = _cfg(stack="pcsm", attack={"kind": "burst_injection", "start": 100.0})
+    # another stack and another attack share the base's traffic; the change does not
+    same = dataclasses.replace(base, name="same", stack="csm",
+                               attack=dataclasses.replace(base.attack, kind="late_phase"))
+    change = {name: dataclasses.replace(getattr(base, name), **value)
+              if isinstance(value, dict) else value for name, value in change.items()}
+    other = dataclasses.replace(base, name="other", **change)
+    built = []
+
+    def traffic(cfg, seed):
+        built.append((cfg.name, seed))
+        return legit_traffic(cfg, seed)
+
+    monkeypatch.setattr(cli, "legit_traffic", traffic)
+    kept = cli._sweep([base, same, other], [1, 2], keep=lambda r: (r.name, r.seed))
+    assert kept == [[("sim", 1), ("sim", 2)], [("same", 1), ("same", 2)],
+                    [("other", 1), ("other", 2)]]
+    assert built == [("sim", 1), ("other", 1), ("sim", 2), ("other", 2)]
