@@ -27,7 +27,7 @@ import hmac
 import struct
 
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
-from .hash_chain import keyed
+from .hash_chain import _digest
 from .reassembly import PredictiveCsmStack, ReceiverStack, ReplayLedger
 
 # CPU milliseconds per independent per-fragment MAC (sign or verify).
@@ -49,9 +49,7 @@ def fragment_mac(
         + nonce
         + payload
     )
-    h = keyed(key).copy()
-    h.update(msg)
-    return h.digest()[:8]
+    return _digest(key, msg)[:8]
 
 
 def mac_sign_fragments(

@@ -86,7 +86,7 @@ def dequantize_trust(byte_value: int) -> float:
     return byte_value / 255.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionFields:
     """Security extension: trust byte, nonce (Frag1 only), signature."""
 
@@ -95,7 +95,7 @@ class ExtensionFields:
     signature: bytes = bytes(SIGNATURE_LEN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FragmentHeader:
     kind: FragmentKind
     datagram_size: int
@@ -104,7 +104,7 @@ class FragmentHeader:
     ext: ExtensionFields | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Fragment:
     """A fragment in flight: header plus payload plus receive metadata."""
 

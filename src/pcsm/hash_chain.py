@@ -13,10 +13,15 @@ link covers the previous digest, tampering with, reordering, dropping
 or injecting any fragment breaks verification at or before the
 affected position.  Verification advances the chain only on success,
 so one bad fragment poisons the remainder of that datagram.
+
+HMAC-SHA1 is computed as RFC 2104 section 4 suggests: the key's inner
+and outer pads are absorbed into two SHA-1 states once per key, and
+each digest copies those states instead of rehashing the pads.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,14 +29,14 @@ from functools import lru_cache
 from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
 
 TAG_LEN = 8
-_ALGORITHM = "sha1"
+_BLOCK = 64  # SHA-1's block: longer keys are hashed first, shorter ones zero-padded
 
 
 class EmptyKey(ValueError):
     """The shared key must be non-empty."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HashChainState:
     """Immutable chain position: advancing returns a new state."""
 
@@ -41,15 +46,23 @@ class HashChainState:
 
 
 @lru_cache(maxsize=32)
-def keyed(key: bytes) -> hmac.HMAC:
-    """HMAC-SHA1 with key absorbed once (RFC 2104, section 4): copy it, never update it."""
-    return hmac.new(key, digestmod=_ALGORITHM)
+def keyed(key: bytes) -> tuple:
+    """SHA-1 states with key^ipad and key^opad absorbed: copy them, never update them."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha1(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return (hashlib.sha1(bytes(b ^ 0x36 for b in key)),
+            hashlib.sha1(bytes(b ^ 0x5C for b in key)))
 
 
 def _digest(key: bytes, data: bytes) -> bytes:
-    h = keyed(key).copy()
-    h.update(data)
-    return h.digest()
+    """HMAC-SHA1(key, data) from the key's absorbed pads."""
+    inner, outer = keyed(key)
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes) -> HashChainState:
@@ -97,12 +110,14 @@ def sign_fragments(
     """
     if not fragments or fragments[0].header.kind is not FragmentKind.FRAG1:
         raise ValueError("fragment train must start with a Frag1")
-    state = seed_chain(key, fragments[0].payload, nonce)
+    if not key:
+        raise EmptyKey("chain key must be non-empty")
     first = fragments[0]
-    first.header = replace_ext(first.header, ExtensionFields(trust_byte, nonce, chain_tag(state)))
+    digest = _digest(key, first.payload + nonce)
+    first.header = replace_ext(first.header, ExtensionFields(trust_byte, nonce, digest[:TAG_LEN]))
     for frag in fragments[1:]:
-        state, tag = next_hash(state, frag.payload)
-        frag.header = replace_ext(frag.header, ExtensionFields(trust_byte, b"", tag))
+        digest = _digest(key, digest + frag.payload)
+        frag.header = replace_ext(frag.header, ExtensionFields(trust_byte, b"", digest[:TAG_LEN]))
     return fragments
 
 

@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .frag_codec import KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
@@ -77,34 +78,46 @@ class ReplayLedger:
 
     A hit refreshes the entry: a triple being replayed is exactly the
     one worth remembering.  Capacity eviction is FIFO by insertion.
+    Every expiry set also goes on a heap, so a purge pops only expired
+    items; each deletes its entry only if the entry's current expiry has
+    passed too, since a refresh or an eviction may have overtaken it.
     """
 
     def __init__(self, horizon: float = 60.0, capacity: int = 64):
         self.horizon = horizon
         self.capacity = capacity
         self.entries: OrderedDict[tuple[int, int, bytes], float] = OrderedDict()
+        self._expiries: list[tuple[float, tuple[int, int, bytes]]] = []
 
     def _purge(self, now: float) -> None:
-        dead = [k for k, expiry in self.entries.items() if expiry <= now]
-        for k in dead:
-            del self.entries[k]
+        heap, entries = self._expiries, self.entries
+        while heap and heap[0][0] <= now:
+            key = heappop(heap)[1]
+            expiry = entries.get(key)
+            if expiry is not None and expiry <= now:
+                del entries[key]
+
+    def _refresh(self, key: tuple[int, int, bytes], now: float) -> None:
+        expiry = now + self.horizon
+        self.entries[key] = expiry
+        heappush(self._expiries, (expiry, key))
 
     def seen(self, source: int, tag: int, nonce: bytes, now: float) -> bool:
         self._purge(now)
         key = (source, tag, nonce)
         if key in self.entries:
-            self.entries[key] = now + self.horizon
+            self._refresh(key, now)
             return True
         return False
 
     def record(self, source: int, tag: int, nonce: bytes, now: float) -> None:
         self._purge(now)
-        self.entries[(source, tag, nonce)] = now + self.horizon
+        self._refresh((source, tag, nonce), now)
         while len(self.entries) > self.capacity:
             self.entries.popitem(last=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReassemblySession:
     source: int
     tag: int

@@ -652,8 +652,8 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
             payload = _corrupt_payload(payload)
 
         def build() -> Fragment:
-            frag = _materialize_emission(attack, k, with_ext, legit, firsts)
-            frag.payload, frag.record = payload, record
+            frag = _materialize_emission(attack, k, with_ext, legit, firsts, payload)
+            frag.record = record
             return frag
 
         if victims[k] >= 0:
@@ -671,15 +671,14 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
 
 
 def _materialize_emission(attack: AttackSchedule, i: int, with_ext: bool,
-                          legit: list[Fragment], firsts: array) -> Fragment:
-    """Emission i of attack in the wire shape the stack under test expects.
+                          legit: list[Fragment], firsts: array, payload: bytes) -> Fragment:
+    """Emission i of attack, carrying payload, in the wire shape the stack under test expects.
 
+    payload is the emission's slice of the blob, as the channel left it.
     A header replay carries its victim's first-fragment header as legit
     (the plan's signed fragments, indexed by firsts) holds it.
     """
     blob = attack.blob
-    at = attack.payload_at[i]
-    payload = bytes(blob[at : at + attack.payload_len[i]])
     victim = attack.victims[i]
     if victim >= 0:
         return Fragment(legit[firsts[victim]].header, payload, attack.sources[i])

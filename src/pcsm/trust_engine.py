@@ -48,7 +48,7 @@ class TrustState:
     blacklisted_until: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehaviorObservation:
     """Traffic features extracted from one first-fragment arrival."""
 

@@ -454,7 +454,8 @@ def _ref_materialize(em, with_ext, legit, firsts):
 @pytest.mark.parametrize("seed", range(1, 4))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
-    """Header (ext nonce and signature included), payload and source, for every emission."""
+    """Header (ext nonce and signature included) and source for every emission; the payload
+    is the caller's slice and passes through."""
     plan = plan_arrivals(load_config(REPO / f"configs/pcsm-{kind}.yaml"), seed)
     attack = plan.attack
     ems = _rows(attack)
@@ -462,6 +463,6 @@ def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
     for signer in (None, "chain", "mac"):
         legit, with_ext = plan.wire(signer).fragments, signer is not None
         for i, em in enumerate(ems):
-            got = _materialize_emission(attack, i, with_ext, legit, plan.firsts)
+            got = _materialize_emission(attack, i, with_ext, legit, plan.firsts, em.payload)
             want = _ref_materialize(em, with_ext, legit, plan.firsts)
             assert (got.header, got.payload, got.source) == (want.header, want.payload, want.source)

@@ -1,5 +1,6 @@
 """Wire-format tests: golden byte vectors, round trips, slicing coverage."""
 
+import dataclasses
 import random
 import struct
 
@@ -29,6 +30,8 @@ from pcsm.frag_codec import (
     header_length,
     quantize_trust,
 )
+from pcsm.hash_chain import HashChainState
+from pcsm.trust_engine import BehaviorObservation
 
 
 def _ref_encode(h: FragmentHeader) -> bytes:
@@ -243,3 +246,25 @@ def test_fragment_packet_extensions_are_zero_filled_and_frozen():
     assert all(f.header.ext == ExtensionFields(0, b"", bytes(SIGNATURE_LEN)) for f in frags[1:])
     with pytest.raises(AttributeError):
         frags[1].header.ext.trust_byte = 1
+
+
+
+# (value, a field, another value for it)
+_FROZEN_VALUES = [
+    (ExtensionFields(7, bytes(NONCE_LEN), bytes(SIGNATURE_LEN)), "trust_byte", 8),
+    (FragmentHeader(FragmentKind.FRAGN, 200, 5, 12), "datagram_offset", 13),
+    (HashChainState(b"key", bytes(20), bytes(NONCE_LEN)), "prev_hash", bytes(range(20))),
+    (BehaviorObservation(90.0, 1 / 90.0, True), "sequence_ok", False),
+]
+
+
+@pytest.mark.parametrize("value, name, other", _FROZEN_VALUES,
+                         ids=[type(v).__name__ for v, _, _ in _FROZEN_VALUES])
+def test_per_frame_values_are_frozen_slotted_and_replaceable(value, name, other):
+    with pytest.raises(AttributeError):
+        setattr(value, name, other)
+    assert not hasattr(value, "__dict__")
+    changed = dataclasses.replace(value, **{name: other})
+    assert type(changed) is type(value) and getattr(changed, name) == other
+    assert changed != value and dataclasses.replace(changed, **{name: getattr(value, name)}) == value
+    assert hash(dataclasses.replace(value)) == hash(value)

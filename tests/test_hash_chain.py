@@ -92,6 +92,11 @@ def test_seed_determinism_and_nonce_sensitivity():
 def test_empty_key_rejected():
     with pytest.raises(EmptyKey):
         seed_chain(b"", b"payload", bytes(4))
+    frags = fragment_packet(bytes(range(200)), 7, with_extension=True)
+    headers = [f.header for f in frags]
+    with pytest.raises(EmptyKey):
+        sign_fragments(b"", frags, bytes(4))
+    assert all(f.header is h for f, h in zip(frags, headers, strict=True))
 
 
 def test_zero_length_payload_is_legal():

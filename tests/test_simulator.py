@@ -537,10 +537,14 @@ def test_filtered_runs_equal_one_frame_at_a_time(case, monkeypatch):
 
 def _fragment_path_admitter(stack, plan, with_ext, legit):
     """Every adversary emission built as a Fragment first, then admitted: the reference."""
+    attack = plan.attack
+
     def admit(k, record, now):
-        frag = _materialize_emission(plan.attack, k, with_ext, legit, plan.firsts)
+        at = attack.payload_at[k]
+        payload = bytes(attack.blob[at : at + attack.payload_len[k]])
         if plan.attack_corrupt[k]:
-            frag.payload = _corrupt_payload(frag.payload)
+            payload = _corrupt_payload(payload)
+        frag = _materialize_emission(attack, k, with_ext, legit, plan.firsts, payload)
         frag.record = record
         return stack.admit(frag, now)
 
