@@ -204,17 +204,25 @@ def _warmup_emissions(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter,
 
 
 _FORGED_BYTES = MAX_FRAGMENT_PAYLOAD + 4 + 8
+# emissions per draw, so that one draw stays within 64 KiB
+_FORGED_CHUNK = 65536 // _FORGED_BYTES
 
 
 def _forged_frag1s(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter, times) -> AttackSchedule:
     """Forged first-fragment reservations, one at each of `times` in order."""
-    # one draw for payload, nonce and signature: whole words, so the same
-    # bytes and rng state as three separate draws
-    attacker, size = spec.attacker, spec.forged_size
-    for when, tag in zip(times, tags.take_n(len(times))):
-        at = out.draw(_FORGED_BYTES)
-        out.add(when, _FRAG1, attacker, size, tag, 0, at, MAX_FRAGMENT_PAYLOAD,
-                at + MAX_FRAGMENT_PAYLOAD, at + MAX_FRAGMENT_PAYLOAD + 4)
+    # one draw per chunk, each emission's payload, nonce and signature in
+    # turn: whole words, so the same bytes and rng state as three draws each
+    tag_list = tags.take_n(len(times))
+    for lo in range(0, len(times), _FORGED_CHUNK):
+        k = min(_FORGED_CHUNK, len(times) - lo)
+        at = out.draw(k * _FORGED_BYTES)
+        end = len(out.blob)
+        runs = (times[lo : lo + k], _FRAG1, spec.attacker, spec.forged_size,  # add()'s order
+                tag_list[lo : lo + k], 0, range(at, end, _FORGED_BYTES), MAX_FRAGMENT_PAYLOAD,
+                range(at + MAX_FRAGMENT_PAYLOAD, end, _FORGED_BYTES),
+                range(at + MAX_FRAGMENT_PAYLOAD + 4, end, _FORGED_BYTES), -1)
+        for col, run in zip(out._columns(), runs):
+            col.extend(array(col.typecode, (run,)) * k if isinstance(run, int) else run)
     return out
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hmac
 import struct
 
-from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
+from .frag_codec import FRAG1, ExtensionFields, Fragment, FragmentKind, replace_ext
 from .hash_chain import _digest
 from .reassembly import PredictiveCsmStack, ReceiverStack, ReplayLedger
 
@@ -41,7 +41,7 @@ def fragment_mac(
     offset: int, nonce: bytes, payload: bytes,
 ) -> bytes:
     """Independent 8-byte MAC binding one fragment to its source and position."""
-    kind_byte = b"\x01" if frag_kind is FragmentKind.FRAG1 else b"\x02"
+    kind_byte = b"\x01" if frag_kind is FRAG1 else b"\x02"
     msg = (
         _MAC_PREFIX
         + struct.pack(">iHHB", source, size, tag, offset)
@@ -58,7 +58,7 @@ def mac_sign_fragments(
     """Stamp per-fragment MACs onto a train, in place."""
     for frag in fragments:
         h = frag.header
-        frag_nonce = nonce if h.kind is FragmentKind.FRAG1 else b""
+        frag_nonce = nonce if h.kind is FRAG1 else b""
         sig = fragment_mac(
             key, source, h.kind, h.datagram_size, h.datagram_tag,
             h.datagram_offset, frag_nonce, frag.payload,
@@ -147,7 +147,7 @@ class SecuPanLikeStack(ReceiverStack):
                    nonce: bytes | None, signature: bytes | None, payload: bytes) -> bool:
         if signature is None:
             return False
-        if kind is not FragmentKind.FRAG1:
+        if kind is not FRAG1:
             nonce = b""
         expected = fragment_mac(self.key, source, kind, size, tag, offset, nonce, payload)
         return hmac.compare_digest(expected, signature)

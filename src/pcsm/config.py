@@ -10,6 +10,7 @@ verbatim before exiting.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import Field, dataclass, field, fields
 
 import yaml
@@ -20,6 +21,7 @@ from .frag_codec import MAX_DATAGRAM_SIZE, MAX_FRAGMENT_PAYLOAD
 from .trust_engine import TrustParams
 
 STACKS = tuple(baselines.STACKS)  # names in report order
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # libyaml's, where PyYAML has it
 
 SENSITIVITY_LAMBDAS = (0.7, 0.8, 0.9, 0.95)
 SENSITIVITY_THETAS = (0.2, 0.3, 0.4)
@@ -86,6 +88,9 @@ def _num(section, key, path, default, *, lo=None, hi=None, lo_open=False, hi_ope
     value = section.pop(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{path}{key}", "expected a number")
+    # NaN fails every bound test, inf passes a one-sided one, a huge int overflows float()
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigInvalid(f"{path}{key}", "must be a finite number")
     value = float(value)
     if lo is not None and (value <= lo if lo_open else value < lo):
         raise ConfigInvalid(f"{path}{key}", f"must be {'>' if lo_open else '>='} {lo}")
@@ -212,9 +217,10 @@ def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     """Read and validate one scenario file. IO errors propagate to the caller."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes, so the YAML reader detects the encoding and rejects bad input itself
+    with open(path, "rb") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigInvalid("(file)", f"not valid YAML: {exc}") from exc
     name = str(path).rsplit("/", 1)[-1].removesuffix(".yaml").removesuffix(".yml")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 MAX_FRAGMENT_PAYLOAD = 96
 MAX_DATAGRAM_SIZE = 2047
@@ -75,6 +75,7 @@ class FragmentKind(Enum):
 
 # one-byte kind codes, as columns of frames store a kind: code 0 is FRAG1
 KIND_CODES = (FragmentKind.FRAG1, FragmentKind.FRAGN)
+FRAG1, FRAGN = KIND_CODES  # plain globals: Python 3.11's EnumType.__getattr__ slows FragmentKind.X
 
 
 def quantize_trust(score: float) -> int:
@@ -86,8 +87,7 @@ def dequantize_trust(byte_value: int) -> float:
     return byte_value / 255.0
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionFields:
+class ExtensionFields(NamedTuple):
     """Security extension: trust byte, nonce (Frag1 only), signature."""
 
     trust_byte: int = 0
@@ -95,8 +95,7 @@ class ExtensionFields:
     signature: bytes = bytes(SIGNATURE_LEN)
 
 
-@dataclass(frozen=True, slots=True)
-class FragmentHeader:
+class FragmentHeader(NamedTuple):
     kind: FragmentKind
     datagram_size: int
     datagram_tag: int
@@ -116,7 +115,7 @@ class Fragment:
 
 
 def replace_ext(h: FragmentHeader, ext: ExtensionFields) -> FragmentHeader:
-    """Copy of h carrying ext: dataclasses.replace without its per-call overhead."""
+    """Copy of h carrying ext: h._replace(ext=ext) without its per-call overhead."""
     return FragmentHeader(h.kind, h.datagram_size, h.datagram_tag, h.datagram_offset, ext)
 
 
@@ -125,7 +124,7 @@ def _check_header(h: FragmentHeader) -> None:
         raise InvalidHeader(f"datagram_size {h.datagram_size} outside [0, {MAX_DATAGRAM_SIZE}]")
     if not 0 <= h.datagram_tag <= 0xFFFF:
         raise InvalidHeader(f"datagram_tag {h.datagram_tag} outside [0, 65535]")
-    if h.kind is FragmentKind.FRAG1:
+    if h.kind is FRAG1:
         if h.datagram_offset != 0:
             raise InvalidHeader("Frag1 carries no offset field")
     else:
@@ -141,7 +140,7 @@ def _check_header(h: FragmentHeader) -> None:
             raise InvalidHeader(f"trust_byte {h.ext.trust_byte} outside [0, 255]")
         if len(h.ext.signature) != SIGNATURE_LEN:
             raise InvalidHeader(f"signature must be {SIGNATURE_LEN} bytes, got {len(h.ext.signature)}")
-        if h.kind is FragmentKind.FRAG1:
+        if h.kind is FRAG1:
             if len(h.ext.nonce) != NONCE_LEN:
                 raise InvalidHeader(f"Frag1 nonce must be {NONCE_LEN} bytes, got {len(h.ext.nonce)}")
         elif h.ext.nonce:
@@ -150,17 +149,20 @@ def _check_header(h: FragmentHeader) -> None:
 
 def header_length(kind: FragmentKind, with_extension: bool) -> int:
     """Encoded header size in bytes for the given form."""
-    if kind is FragmentKind.FRAG1:
+    if kind is FRAG1:
         return FRAG1_BASE_LEN + (FRAG1_EXT_LEN if with_extension else 0)
     return FRAGN_BASE_LEN + (FRAGN_EXT_LEN if with_extension else 0)
 
 
-# Whole-header layouts; _check_header has already fixed the nonce and
-# signature lengths, so the "s" fields never pad or truncate.
-_FRAG1_PACK = struct.Struct(">HH").pack
-_FRAGN_PACK = struct.Struct(">HHB").pack
+# Header layouts; _check_header has already fixed the nonce and signature
+# lengths, so the "s" fields never pad or truncate.  Decoding reads the base
+# header and the extension apart, one call each; "0s" is a FragN's empty nonce.
+_FRAG1_BASE = struct.Struct(">HH")
+_FRAGN_BASE = struct.Struct(">HHB")
 _FRAG1_EXT_PACK = struct.Struct(">HHB4s8s").pack
 _FRAGN_EXT_PACK = struct.Struct(">HHBB8s").pack
+_FRAG1_EXT = struct.Struct(">B4s8s").unpack_from
+_FRAGN_EXT = struct.Struct(">B0s8s").unpack_from
 
 _FRAG1_WORD = DISPATCH_FRAG1 << 11
 _FRAGN_WORD = DISPATCH_FRAGN << 11
@@ -170,14 +172,14 @@ def encode_header(h: FragmentHeader) -> bytes:
     """Serialize a header; raises InvalidHeader on violated invariants."""
     _check_header(h)
     ext = h.ext
-    if h.kind is FragmentKind.FRAG1:
+    if h.kind is FRAG1:
         word0 = _FRAG1_WORD | h.datagram_size
         if ext is None:
-            return _FRAG1_PACK(word0, h.datagram_tag)
+            return _FRAG1_BASE.pack(word0, h.datagram_tag)
         return _FRAG1_EXT_PACK(word0, h.datagram_tag, ext.trust_byte, ext.nonce, ext.signature)
     word0 = _FRAGN_WORD | h.datagram_size
     if ext is None:
-        return _FRAGN_PACK(word0, h.datagram_tag, h.datagram_offset)
+        return _FRAGN_BASE.pack(word0, h.datagram_tag, h.datagram_offset)
     return _FRAGN_EXT_PACK(word0, h.datagram_tag, h.datagram_offset, ext.trust_byte, ext.signature)
 
 
@@ -186,22 +188,22 @@ def _parse_base(data: bytes) -> tuple[FragmentKind, int, int, int, int]:
     n = len(data)
     if n < 2:
         raise Truncated(f"need at least 2 bytes for dispatch, got {n}")
-    word0 = (data[0] << 8) | data[1]
-    dispatch = word0 >> 11
-    size = word0 & 0x07FF
+    dispatch = data[0] >> 3
     if dispatch == DISPATCH_FRAG1:
         if n < FRAG1_BASE_LEN:
             raise Truncated(f"Frag1 base header needs {FRAG1_BASE_LEN} bytes, got {n}")
-        return FragmentKind.FRAG1, size, (data[2] << 8) | data[3], 0, FRAG1_BASE_LEN
+        word0, tag = _FRAG1_BASE.unpack_from(data)
+        return FRAG1, word0 & 0x07FF, tag, 0, FRAG1_BASE_LEN
     if dispatch == DISPATCH_FRAGN:
         if n < FRAGN_BASE_LEN:
             raise Truncated(f"FragN base header needs {FRAGN_BASE_LEN} bytes, got {n}")
-        offset = data[4]
+        word0, tag, offset = _FRAGN_BASE.unpack_from(data)
+        size = word0 & 0x07FF
         if offset * OFFSET_UNIT >= size:
             raise InvalidHeader(
                 f"offset {offset} x {OFFSET_UNIT} must fall inside datagram_size {size}"
             )
-        return FragmentKind.FRAGN, size, (data[2] << 8) | data[3], offset, FRAGN_BASE_LEN
+        return FRAGN, size, tag, offset, FRAGN_BASE_LEN
     raise NotAFragment(f"dispatch {dispatch:05b} is not a fragmentation header")
 
 
@@ -226,16 +228,16 @@ def decode_header(data: bytes) -> FragmentHeader:
     # Frag1: base(4) trust(1) nonce(4) signature(8); FragN: base(5) trust(1) signature(8)
     if trailing == 0:
         ext = None
-    elif kind is FragmentKind.FRAG1 and trailing == FRAG1_EXT_LEN:
-        ext = ExtensionFields(data[4], data[5 : 5 + NONCE_LEN], data[5 + NONCE_LEN :])
-    elif kind is FragmentKind.FRAGN and trailing == FRAGN_EXT_LEN:
-        ext = ExtensionFields(data[5], b"", data[6:])
+    elif kind is FRAG1 and trailing == FRAG1_EXT_LEN:
+        ext = ExtensionFields(*_FRAG1_EXT(data, FRAG1_BASE_LEN))
+    elif kind is FRAGN and trailing == FRAGN_EXT_LEN:
+        ext = ExtensionFields(*_FRAGN_EXT(data, FRAGN_BASE_LEN))
     else:
         raise InvalidHeader(f"{trailing} trailing bytes match no extension layout")
     return FragmentHeader(kind, size, tag, offset, ext)
 
 
-# Zero-filled extensions for fragment_packet; frozen, so every fragment
+# Zero-filled extensions for fragment_packet; immutable, so every fragment
 # can share them until the sender stamps its own.
 _BLANK_FRAG1_EXT = ExtensionFields(nonce=bytes(NONCE_LEN))
 _BLANK_FRAGN_EXT = ExtensionFields()
@@ -256,10 +258,10 @@ def fragment_packet(payload: bytes, tag: int, with_extension: bool) -> list[Frag
     ext1 = _BLANK_FRAG1_EXT if with_extension else None
     extn = _BLANK_FRAGN_EXT if with_extension else None
     frags = [
-        Fragment(FragmentHeader(FragmentKind.FRAG1, size, tag, 0, ext1),
+        Fragment(FragmentHeader(FRAG1, size, tag, 0, ext1),
                  payload[:MAX_FRAGMENT_PAYLOAD])
     ]
     for pos in range(MAX_FRAGMENT_PAYLOAD, size, MAX_FRAGMENT_PAYLOAD):
-        header = FragmentHeader(FragmentKind.FRAGN, size, tag, pos // OFFSET_UNIT, extn)
+        header = FragmentHeader(FRAGN, size, tag, pos // OFFSET_UNIT, extn)
         frags.append(Fragment(header, payload[pos : pos + MAX_FRAGMENT_PAYLOAD]))
     return frags

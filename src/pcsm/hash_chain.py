@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .frag_codec import ExtensionFields, Fragment, FragmentKind, replace_ext
+from .frag_codec import FRAG1, ExtensionFields, Fragment, replace_ext
 
 TAG_LEN = 8
 _BLOCK = 64  # SHA-1's block: longer keys are hashed first, shorter ones zero-padded
@@ -36,8 +36,7 @@ class EmptyKey(ValueError):
     """The shared key must be non-empty."""
 
 
-@dataclass(frozen=True, slots=True)
-class HashChainState:
+class HashChainState(NamedTuple):
     """Immutable chain position: advancing returns a new state."""
 
     key: bytes
@@ -108,7 +107,7 @@ def sign_fragments(
     each later fragment carries its chained tag.  Fragments must be in
     offset order and carry zero-filled extensions from fragment_packet.
     """
-    if not fragments or fragments[0].header.kind is not FragmentKind.FRAG1:
+    if not fragments or fragments[0].header.kind is not FRAG1:
         raise ValueError("fragment train must start with a Frag1")
     if not key:
         raise EmptyKey("chain key must be non-empty")

@@ -26,7 +26,7 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .frag_codec import KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
+from .frag_codec import FRAG1, KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
 from .hash_chain import HashChainState, seed_chain, validate_fragment
 from .trust_engine import ObservationTracker, TrustEngine, TrustParams
 
@@ -71,6 +71,11 @@ class AdmitResult(NamedTuple):
 def _dropped(reason: DropReason, cpu_ms: float = 0.0) -> AdmitResult:
     # immutable, so one result serves every drop with the same reason and charge
     return AdmitResult(AdmitStatus.DROPPED, reason=reason, cpu_ms=cpu_ms)
+
+
+@lru_cache(maxsize=16)
+def _stored(cpu_ms: float) -> AdmitResult:
+    return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu_ms)
 
 
 class ReplayLedger:
@@ -317,7 +322,7 @@ class ReceiverStack:
         cpu = self.VERIFY_CPU_MS
         if not self._authentic(src, kind, size, tag, offset, nonce, signature, payload):
             return _dropped(DropReason.BAD_SIGNATURE, cpu)
-        if kind is FragmentKind.FRAG1:
+        if kind is FRAG1:
             if nonce is None:
                 nonce = _NO_NONCE
             ledger = self.ledger
@@ -341,7 +346,7 @@ class ReceiverStack:
             session.store(build())
             if not session.complete:
                 buffer.open(session)
-                return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
+                return _stored(cpu)
         else:
             session = buffer.find(src, tag)
             if session is None:
@@ -359,7 +364,7 @@ class ReceiverStack:
             session.chain = chain
             session.store(build())
             if not session.complete:
-                return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu)
+                return _stored(cpu)
             buffer.close(session)
         self._delivered(src, now)
         return AdmitResult(
@@ -453,7 +458,7 @@ class PredictiveCsmStack(ReceiverStack):
         """
         if not self.engine.note_blocked_contact(source, now):
             return False
-        if kind is FragmentKind.FRAG1:
+        if kind is FRAG1:
             self.tracker.touch(source, now)
         return True
 
@@ -482,7 +487,7 @@ class PredictiveCsmStack(ReceiverStack):
         state = self.engine.states[source]
         state.blacklisted_until = max(state.blacklisted_until, last + block)
         for k in range(j - 1, i, -1):
-            if KIND_CODES[kinds[k]] is FragmentKind.FRAG1:
+            if KIND_CODES[kinds[k]] is FRAG1:
                 self.tracker.touch(source, times[k])
                 break
         return j

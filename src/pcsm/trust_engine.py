@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Arrival rate is derived as 1 / inter-arrival; this floor keeps it
 # finite when two first-fragments land in the same instant.
@@ -48,8 +49,7 @@ class TrustState:
     blacklisted_until: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class BehaviorObservation:
+class BehaviorObservation(NamedTuple):
     """Traffic features extracted from one first-fragment arrival."""
 
     inter_arrival: float

@@ -1,6 +1,5 @@
 """Comparator stack behavior: structural admission, failure counting, per-fragment MACs."""
 
-import dataclasses
 import hmac
 import random
 import struct
@@ -241,13 +240,13 @@ def test_secupan_mac_binds_source_position_and_nonce():
     assert stack.admit(stolen, 0.0).reason is DropReason.BAD_SIGNATURE
 
     retagged = Fragment(
-        dataclasses.replace(frags[0].header, datagram_tag=42), frags[0].payload, source=7
+        frags[0].header._replace(datagram_tag=42), frags[0].payload, source=7
     )
     assert stack.admit(retagged, 0.1).reason is DropReason.BAD_SIGNATURE
 
     renonced_ext = ExtensionFields(255, b"\xde\xad\xbe\xef", frags[0].header.ext.signature)
     renonced = Fragment(
-        dataclasses.replace(frags[0].header, ext=renonced_ext), frags[0].payload, source=7
+        frags[0].header._replace(ext=renonced_ext), frags[0].payload, source=7
     )
     assert stack.admit(renonced, 0.2).reason is DropReason.BAD_SIGNATURE
 
@@ -288,7 +287,7 @@ def test_fragment_mac_and_signing_match_reference():
                     frag_nonce, f.payload)
             sig = _ref_fragment_mac(key, *args)
             assert fragment_mac(key, *args) == sig
-            expected.append(dataclasses.replace(h, ext=ExtensionFields(trust_byte, frag_nonce, sig)))
+            expected.append(h._replace(ext=ExtensionFields(trust_byte, frag_nonce, sig)))
         signed = mac_sign_fragments(key, frags, nonce, source, trust_byte)
         assert [f.header for f in signed] == expected
         assert all(f.source == source for f in signed)

@@ -102,6 +102,21 @@ def test_invalid_trust_threshold_exits_2_with_field_name(tmp_path, capsys):
     assert "trust.theta" in err
 
 
+@pytest.mark.parametrize(
+    "raw,diagnostic",
+    [(b"stack: pcsm\nname: \xc3\x28\n", "config error: (file): not valid YAML"),
+     # a UTF-16 byte order mark: the reader decodes it, to text that is no mapping
+     (b"\xff\xfe\x00bad", "config error: config: expected a mapping")],
+    ids=["bad-utf8", "utf16-text"],
+)
+def test_undecodable_config_exits_2(tmp_path, capsys, raw, diagnostic):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(raw)
+    rc = main(["run", str(bad), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(diagnostic)
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "r")])
     assert rc == 3

@@ -16,7 +16,8 @@ from pcsm.config import (
 )
 from pcsm.reassembly import PredictiveCsmStack
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+REPO = Path(__file__).resolve().parents[1]
+README = REPO / "README.md"
 
 
 def test_minimal_config_fills_defaults():
@@ -204,6 +205,45 @@ def test_load_config_rejects_broken_yaml(tmp_path):
     p.write_text("stack: [unclosed\n")
     with pytest.raises(ConfigInvalid):
         load_config(p)
+
+
+@pytest.mark.parametrize(
+    "text,wanted_field",
+    [
+        ("duration: .inf\n", "duration"),
+        ("duration: .nan\n", "duration"),
+        ("duration: -.inf\n", "duration"),
+        ("duration: 1" + "0" * 400 + "\n", "duration"),
+        ("channel:\n  loss_rate: .nan\n", "channel.loss_rate"),
+        ("trust:\n  lambda: .nan\n", "trust.lambda"),
+        ("attack:\n  kind: burst_injection\n  burst_rate: .inf\n", "attack.burst_rate"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, text, wanted_field):
+    # through the parser only: a regression here would loop or trace back in a run
+    text = "stack: pcsm\n" + text
+    message = f"{wanted_field}: must be a finite number"
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config(yaml.safe_load(text))
+    assert str(err.value) == message
+    p = tmp_path / "inf.yaml"
+    p.write_text(text)
+    with pytest.raises(ConfigInvalid) as err:
+        load_config(p)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "path", sorted(REPO.glob("configs/**/*.yaml")), ids=lambda p: str(p.relative_to(REPO))
+)
+def test_bundled_configs_parse_equal_under_both_loaders(path):
+    fast = getattr(yaml, "CSafeLoader", None)
+    if fast is None:
+        pytest.skip("PyYAML built without libyaml")
+    raw = path.read_bytes()
+    data = yaml.load(raw, Loader=yaml.SafeLoader)
+    assert yaml.load(raw, Loader=fast) == data
+    assert load_config(path) == parse_config(data, default_name=path.stem)
 
 
 def test_sensitivity_grid_constants():

@@ -1,6 +1,5 @@
 """Wire-format tests: golden byte vectors, round trips, slicing coverage."""
 
-import dataclasses
 import random
 import struct
 
@@ -264,7 +263,7 @@ def test_per_frame_values_are_frozen_slotted_and_replaceable(value, name, other)
     with pytest.raises(AttributeError):
         setattr(value, name, other)
     assert not hasattr(value, "__dict__")
-    changed = dataclasses.replace(value, **{name: other})
+    changed = value._replace(**{name: other})
     assert type(changed) is type(value) and getattr(changed, name) == other
-    assert changed != value and dataclasses.replace(changed, **{name: getattr(value, name)}) == value
-    assert hash(dataclasses.replace(value)) == hash(value)
+    assert changed != value and changed._replace(**{name: getattr(value, name)}) == value
+    assert hash(value._replace()) == hash(value)

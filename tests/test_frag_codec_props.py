@@ -66,3 +66,21 @@ def test_property_decode_accepts_only_what_encode_produces(data):
     except CodecError:
         return
     assert encode_header(h) == data
+
+
+def _decoded(data):
+    try:
+        return decode_header(data)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.one_of(_wire_bytes, _valid_headers().map(encode_header)))
+def test_property_decode_is_the_same_for_any_bytes_like_input(data):
+    expected = _decoded(data)
+    for view in (bytearray(data), memoryview(data)):
+        got = _decoded(view)
+        assert got == expected and type(got) is type(expected)
+        if isinstance(got, FragmentHeader) and got.ext is not None:
+            assert type(got.ext.nonce) is bytes and type(got.ext.signature) is bytes

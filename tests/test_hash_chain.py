@@ -1,6 +1,5 @@
 """Chained-hash tests: frozen golden vectors, tamper detection, chain rules."""
 
-import dataclasses
 import hashlib
 import hmac
 import json
@@ -215,12 +214,12 @@ def test_chains_for_distinct_datagrams_are_independent():
 
 
 def _ref_sign(key, frags, nonce, trust_byte):
-    """The chain as first written: hmac.new per link, dataclasses.replace per header."""
+    """The chain as first written: hmac.new per link, a replaced header per fragment."""
     digest = hmac.new(key, frags[0].payload + nonce, "sha1").digest()
-    out = [dataclasses.replace(frags[0].header, ext=ExtensionFields(trust_byte, nonce, digest[:8]))]
+    out = [frags[0].header._replace(ext=ExtensionFields(trust_byte, nonce, digest[:8]))]
     for frag in frags[1:]:
         digest = hmac.new(key, digest + frag.payload, "sha1").digest()
-        out.append(dataclasses.replace(frag.header, ext=ExtensionFields(trust_byte, b"", digest[:8])))
+        out.append(frag.header._replace(ext=ExtensionFields(trust_byte, b"", digest[:8])))
     return out
 
 
@@ -244,7 +243,7 @@ def test_next_hash_matches_replace_reference():
     for _ in range(20):
         payload = rng.randbytes(rng.randrange(0, 97))
         digest = hmac.new(state.key, state.prev_hash + payload, "sha1").digest()
-        expected = dataclasses.replace(state, prev_hash=digest)
+        expected = state._replace(prev_hash=digest)
         advanced, tag = next_hash(state, payload)
         assert type(advanced) is HashChainState
         assert advanced == expected
