@@ -189,6 +189,8 @@ def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
     name = top.pop("name", default_name)
     if not isinstance(name, str) or not name:
         raise ConfigInvalid("name", "expected a non-empty string")
+    if any(c in name for c in "/\\\0"):  # it names files, which must stay inside --out
+        raise ConfigInvalid("name", "must not contain '/', '\\' or NUL")
     stack = top.pop("stack", None)
     if stack not in STACKS:
         raise ConfigInvalid("stack", f"must be one of {', '.join(STACKS)}")

@@ -18,6 +18,7 @@ for traffic that already failed the chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -257,16 +258,16 @@ class ReceiverStack:
         """The stack a config.ScenarioConfig asks for; trace keeps the trust history, if any."""
         return cls(cfg.buffer.slots, cfg.buffer.timeout)
 
-    def filter_run(self, times, sources, kinds, i: int, stop: int) -> int:
-        """The end of the run of arrivals from i on that the radio filters.
+    def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
+        """The (start, end) ranges of plan's arrival indexes, from i on, that the radio filters.
 
-        The radio sees only each arrival's link source and dispatch kind.
-        The arrivals are time-sorted columns (kinds indexes KIND_CODES);
-        the run ends by stop at the latest, where the caller has a tick
-        to run.  Returning i lets arrival i through; this stack filters
-        nothing.
+        The radio sees only each arrival's link source and dispatch kind
+        (plan's times, sources and kinds columns; kinds index
+        KIND_CODES).  The caller drops the ranges unseen, so no frame or
+        tick between them may change what the stack does with them.
+        Empty lets arrival i through; this stack filters nothing.
         """
-        return i
+        return ()
 
     def identified_at(self, source: int) -> float | None:
         """When the stack first identified source as hostile, if it has."""
@@ -462,35 +463,52 @@ class PredictiveCsmStack(ReceiverStack):
             self.tracker.touch(source, now)
         return True
 
-    def filter_run(self, times, sources, kinds, i: int, stop: int) -> int:
-        """filter_frame for arrival i, then for its source's next arrivals at once.
+    def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
+        """filter_frame for arrival i, then the rest of its source's block episode at once.
 
-        Once arrival i is filtered, each contact pushes the block's expiry
-        to its time plus block_duration, so the source's next arrival is
-        filtered iff it comes before its predecessor's time plus
-        block_duration.  The run ends there, at another source, or at
-        stop; then the expiry takes one push and the tracker one touch,
-        with what per-frame calls would have left.
+        A blocked source holds no session, since every move into a block
+        purges its sessions (_purge_if_blocked, from _screen, _rejected
+        and _expired); so only its own arrivals change its block expiry
+        and tracker entry, and each filtered one pushes the expiry to its
+        time plus block_duration.  Its next arrival is therefore filtered
+        iff it comes before its predecessor's time plus block_duration,
+        whatever other sources' frames and ticks fall between.  Then the
+        expiry takes one push and the tracker one touch, with what
+        per-frame calls would have left.
         """
-        source = sources[i]
-        if not self.filter_frame(source, KIND_CODES[kinds[i]], times[i]):
-            return i
+        times, source = plan.times, plan.sources[i]
+        if not self.filter_frame(source, KIND_CODES[plan.kinds[i]], times[i]):
+            return ()
         block = self.engine.params.block_duration
-        last, j = times[i], i + 1
-        while j < stop and sources[j] == source:
-            now = times[j]
-            if now >= last + block:
+        starts, ends = plan.runs(source)
+        r, a, ranges = bisect_right(starts, i) - 1, i, []
+        while True:
+            k, end = a, ends[r]
+            # a gap of a block ends the episode inside a run that spans a block:
+            # jump to the last arrival less than a block after arrival k
+            while times[end - 1] >= times[k] + block:
+                j = bisect_left(times, times[k] + block, k + 1, end)
+                if j == k + 1:
+                    end = j
+                    break
+                k = j - 1
+            ranges.append((a, end))
+            if (end < ends[r] or r + 1 == len(starts)
+                    or times[starts[r + 1]] >= times[end - 1] + block):
                 break
-            last, j = now, j + 1
-        # pushed here, not by note_blocked_contact: a run longer than a
-        # block has passed the expiry filter_frame set for arrival i
+            r, a = r + 1, starts[r + 1]
+        # pushed here, not by note_blocked_contact: the episode has passed
+        # the expiry filter_frame set for arrival i
         state = self.engine.states[source]
-        state.blacklisted_until = max(state.blacklisted_until, last + block)
-        for k in range(j - 1, i, -1):
-            if KIND_CODES[kinds[k]] is FRAG1:
-                self.tracker.touch(source, times[k])
+        state.blacklisted_until = max(state.blacklisted_until, times[end - 1] + block)
+        kinds = plan.kinds.tobytes()
+        for a, b in reversed(ranges):
+            k = kinds.rfind(KIND_CODES.index(FRAG1), a, b)
+            if k >= 0:
+                if k > i:
+                    self.tracker.touch(source, times[k])
                 break
-        return j
+        return ranges
 
     def identified_at(self, source: int) -> float | None:
         return self.engine.first_blocked.get(source)

@@ -39,11 +39,12 @@ each plan for every stack and trust cell that shares it, and drop both
 before the next seed.  Nothing caches them across calls.
 
 Every arrival meets the radio prefilter first, which sees only the link
-source and the dispatch kind, and the stack's filter_run hands it a
-whole run of arrivals at once: one source's frames, up to the next tick
-that could change what the stack does.  A run the prefilter drops costs
-the simulator one slice write to the run's disposition codes
-("untrusted", prefiltered), and no fragment or record.  A legit frame
+source and the dispatch kind.  A blocked source holds no session, so
+only its own arrivals change its block: other sources' frames and ticks
+do not.  So the stack's filter_run hands over a blocked source's whole
+block episode at once, as ranges of arrival indexes; each costs one
+slice write to its disposition codes ("untrusted", prefiltered), and no
+fragment or record, and the loop skips its arrivals.  A legit frame
 that passes gets a fragment built for this run from the plan's signed
 fragments, whose record is its arrival index.  An adversary frame goes
 through the stack's gates straight from its row of the attack schedule,
@@ -62,9 +63,10 @@ from __future__ import annotations
 import heapq  # unused here; bench/layers.py patches simulator.heapq when tracing
 import math
 import random
+import re
 from array import array
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -167,27 +169,6 @@ class FrameRecords(Sequence):
                  codes: bytearray):
         self.times, self.sources, self.kinds, self.origins = times, sources, kinds, origins
         self.codes = codes
-
-    @classmethod
-    def of(cls, records: Iterable[FrameRecord], attacker: int | None) -> FrameRecords:
-        """The columns of records, hostile where the origin is attacker.
-
-        Raises ValueError unless the records are sorted by time and each
-        disposition is one of DISPOSITIONS.
-        """
-        records = list(records)
-        times = array("d", (r.time for r in records))
-        if any(later < earlier for earlier, later in zip(times, times[1:])):
-            raise ValueError("frame records must be sorted by time")
-        codes = bytearray()
-        for r in records:
-            if r.disposition not in _CODE:
-                raise ValueError(f"unknown disposition {r.disposition!r}")
-            codes.append(_CODE[r.disposition] | (HOSTILE if r.origin == attacker else 0)
-                         | (PREFILTERED if r.prefiltered else 0))
-        return cls(times, array("q", (r.source for r in records)),
-                   array("B", (KIND_CODES.index(r.kind) for r in records)),
-                   array("q", (r.origin for r in records)), codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -336,6 +317,8 @@ class ArrivalPlan(NamedTuple):
     traffic: ArrivalPlan | None
     # signer -> _Wire, filled by wire() on first use
     wires: dict
+    # source -> its runs, filled by runs() on first use
+    source_runs: dict
 
     def check(self, cfg: ScenarioConfig, seed: int) -> None:
         """Raise ValueError unless this plan is the one cfg and seed would build."""
@@ -351,6 +334,22 @@ class ArrivalPlan(NamedTuple):
         built = self.wires.get(signer)
         if built is None:
             built = self.wires[signer] = _build_wire(self, signer)
+        return built
+
+    def runs(self, source: int) -> tuple[array, array]:
+        """Where each maximal run of source's consecutive arrivals starts, and where it ends.
+
+        Found in one byte per arrival: the source while node ids fit a byte, else a match flag.
+        """
+        built = self.source_runs.get(source)
+        if built is None:
+            try:
+                column, mark = bytes(self.sources.tolist()), source
+            except ValueError:
+                column, mark = bytes(map(source.__eq__, self.sources)), 1
+            spans = [run.span() for run in re.finditer(re.escape(bytes([mark])) + b"+", column)]
+            built = self.source_runs[source] = (array("i", [a for a, _ in spans]),
+                                                array("i", [b for _, b in spans]))
         return built
 
     def frames(self):
@@ -428,7 +427,7 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     sort_columns(columns)
     return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, firsts, None, None,
                        sent_datagrams, sent_fragments, *columns, sources[:],
-                       array("B", bytes(len(times))), legit_corrupt, bytearray(), None, {})
+                       array("B", bytes(len(times))), legit_corrupt, bytearray(), None, {}, {})
 
 
 def plan_arrivals(cfg: ScenarioConfig, seed: int,
@@ -470,7 +469,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
                       traffic.origins, traffic.codes], hostile)
     return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, traffic.firsts, attacker,
                        attack, traffic.sent_datagrams, sent_fragments, *columns,
-                       traffic.legit_corrupt, attack_corrupt, traffic, {})
+                       traffic.legit_corrupt, attack_corrupt, traffic, {}, {})
 
 
 def _merge(first: list[array], second: list[array]) -> list[array]:
@@ -533,6 +532,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     times, sources, kinds, refs, origins = (
         plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
     codes = bytearray(plan.codes)
+    # nonzero where the radio filtered ahead of the loop; a 0 past the end stops find()
+    taken = bytearray(len(codes) + 1)
 
     # a record leaves "stored" (0) at most once, so or-ing keeps its flags
     def _mark(sessions, code):
@@ -541,9 +542,10 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
                 codes[frag.record] |= code
 
     i, n = 0, len(codes)
-    # the first arrival after stop_tick, found once per tick
-    stop_tick, tick_stop = -1.0, n
     while i < n:
+        if taken[i]:
+            i = taken.find(0, i)
+            continue
         now = times[i]
         # ticks strictly before this arrival; on an empty buffer a tick
         # is a no-op, so skip to the first one not before it
@@ -554,18 +556,11 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             _mark(stack.tick(next_tick), _TIMEOUT)
             next_tick += TICK_INTERVAL
 
-        # a filtered run stops before the next tick that has a session to act on
-        if buffer.sessions and next_tick <= duration:
-            if stop_tick != next_tick:
-                stop_tick, tick_stop = next_tick, bisect_right(times, next_tick, i)
-            stop = tick_stop
-        else:
-            stop = n
-        j = filter_run(times, sources, kinds, i, stop)
-        if j > i:
+        ranges = filter_run(plan, i)
+        if ranges:
             # address-filtered in the radio: no RX cost, no CPU
-            codes[i:j] = codes[i:j].translate(_PREFILTER)
-            i = j
+            for a, b in ranges:
+                codes[a:b] = taken[a:b] = codes[a:b].translate(_PREFILTER)
             continue
 
         code, ref = kinds[i], refs[i]

@@ -4,6 +4,7 @@ import hmac
 import random
 import struct
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,8 +86,9 @@ def test_vanilla_duplicate_open_frag1_is_structural_drop():
 
 def test_vanilla_never_prefilters():
     stack = VanillaStack()
-    times, sources, kinds = array("d", [0.0, 0.5]), array("q", [9, 9]), array("B", [0, 1])
-    assert stack.filter_run(times, sources, kinds, 0, 2) == 0
+    plan = SimpleNamespace(times=array("d", [0.0, 0.5]), sources=array("q", [9, 9]),
+                           kinds=array("B", [0, 1]))
+    assert not stack.filter_run(plan, 0)
 
 
 # ---------------------------------------------------------------- csm-like

@@ -117,6 +117,17 @@ def test_undecodable_config_exits_2(tmp_path, capsys, raw, diagnostic):
     assert capsys.readouterr().err.startswith(diagnostic)
 
 
+@pytest.mark.parametrize("name", ['"../escaped"', '"a\\0b"', '"a\\\\b"'],
+                         ids=["parent-dir", "nul", "backslash"])
+def test_config_name_that_would_leave_out_exits_2(tmp_path, capsys, name):
+    cfg = _write_yaml(tmp_path / "named.yaml",
+                      f"name: {name}\nstack: pcsm\nduration: 60.0\nsenders: 2\n")
+    rc = main(["run", cfg, "--out", str(tmp_path / "work" / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: name: must not contain")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [tmp_path / "named.yaml"]
+
+
 def test_missing_config_file_exits_3(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "r")])
     assert rc == 3

@@ -100,6 +100,10 @@ def test_attack_none_token():
         ({"attack": {"kind": "late_phase", "forged_size": 96}}, "attack.forged_size"),
         ({"attack": {"kind": "late_phase", "forged_size": 50}}, "attack.forged_size"),
         ({"attack": {"kind": "burst_injection", "attacker": 2**31}}, "attack.attacker"),
+        # the name names the output files, which must stay inside --out
+        ({"name": "../escaped"}, "name"),
+        ({"name": "a\\b"}, "name"),
+        ({"name": "a\0b"}, "name"),
     ],
 )
 def test_invalid_fields_name_their_dotted_path(mutation, wanted_field):

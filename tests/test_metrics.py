@@ -4,11 +4,12 @@ import dataclasses
 import json
 import math
 import statistics
+from array import array
 
 import pytest
 
 from pcsm.config import STACKS, parse_config
-from pcsm.frag_codec import FragmentKind
+from pcsm.frag_codec import KIND_CODES, FragmentKind
 from pcsm.attacks import ATTACK_KINDS
 from pcsm.metrics import (
     DROP_DISPOSITIONS,
@@ -21,7 +22,37 @@ from pcsm.metrics import (
     detection_latency,
     render_table,
 )
-from pcsm.simulator import DeliveredRecord, FrameRecord, FrameRecords, RunResult, simulate
+from pcsm.simulator import (
+    DISPOSITIONS,
+    HOSTILE,
+    PREFILTERED,
+    DeliveredRecord,
+    FrameRecord,
+    FrameRecords,
+    RunResult,
+    simulate,
+)
+
+
+def _frame_records(records, attacker):
+    """The columns of records, hostile where the origin is attacker.
+
+    Raises ValueError unless the records are sorted by time and each
+    disposition is one of DISPOSITIONS.
+    """
+    records = list(records)
+    times = array("d", (r.time for r in records))
+    if any(later < earlier for earlier, later in zip(times, times[1:])):
+        raise ValueError("frame records must be sorted by time")
+    codes = bytearray()
+    for r in records:
+        if r.disposition not in DISPOSITIONS:
+            raise ValueError(f"unknown disposition {r.disposition!r}")
+        codes.append(DISPOSITIONS.index(r.disposition) | (HOSTILE if r.origin == attacker else 0)
+                     | (PREFILTERED if r.prefiltered else 0))
+    return FrameRecords(times, array("q", (r.source for r in records)),
+                        array("B", (KIND_CODES.index(r.kind) for r in records)),
+                        array("q", (r.origin for r in records)), codes)
 
 
 def _rec(time, disposition, origin=9):
@@ -48,7 +79,7 @@ def _reference_detection_latency(records, attacker, attack_start):
 
 def _latency(recs, attacker=9, attack_start=900.0):
     """detection_latency on recs' columns, checked against the reference."""
-    got = detection_latency(FrameRecords.of(recs, attacker), attack_start)
+    got = detection_latency(_frame_records(recs, attacker), attack_start)
     assert got == _reference_detection_latency(recs, attacker, attack_start)
     return got
 
@@ -101,18 +132,18 @@ def test_records_out_of_time_order_are_rejected():
     ]
     assert _reference_detection_latency(recs, 9, 900.0) == 1.5
     with pytest.raises(ValueError, match="sorted by time"):
-        FrameRecords.of(recs, 9)
+        _frame_records(recs, 9)
 
 
 def test_records_with_an_unknown_disposition_are_rejected():
     with pytest.raises(ValueError, match="unknown disposition 'lost'"):
-        FrameRecords.of([_rec(900.0, "lost")], 9)
+        _frame_records([_rec(900.0, "lost")], 9)
 
 
 def test_records_read_back_as_built():
     recs = [_rec(1.0, "delivered", origin=2), _rec(1.0, "untrusted"),
             FrameRecord(2.5, 9, 9, FragmentKind.FRAGN, "untrusted", True)]
-    records = FrameRecords.of(recs, 9)
+    records = _frame_records(recs, 9)
     assert list(records) == recs
     assert [records[i] for i in range(-3, 3)] == recs + recs
     assert records[1:] == recs[1:]
@@ -295,7 +326,7 @@ def test_collect_matches_the_multi_pass_reference(stack, kind):
 
 
 def _hand_built_result(records, attacker, attack_start):
-    """A run with the given records, as a list: FrameRecords.of them for collect()."""
+    """A run with the given records, as a list: _frame_records makes columns of them."""
     nodes = {0: 1.0, 1: 2.0, 2: 3.0}
     if attacker is not None:
         nodes[attacker] = 4.0
@@ -314,7 +345,7 @@ def _hand_built_result(records, attacker, attack_start):
 def _collect_both(records, attacker, attack_start):
     """collect() on the records' columns, and the reference on the list."""
     listed = _hand_built_result(records, attacker, attack_start)
-    columns = dataclasses.replace(listed, records=FrameRecords.of(records, attacker))
+    columns = dataclasses.replace(listed, records=_frame_records(records, attacker))
     return collect(columns).to_json(), _reference_collect(listed).to_json()
 
 

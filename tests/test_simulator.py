@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -433,33 +434,38 @@ def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1)):
     arrivals.sort(key=lambda a: a[0])
     times, sources, kinds, refs, origins = map(list, zip(*arrivals))
     return base._replace(
-        attack=attack, attack_corrupt=bytearray(len(rows)), wires={},
+        attack=attack, attack_corrupt=bytearray(len(rows)), wires={}, source_runs={},
         times=array("d", times), sources=array("q", sources), kinds=array("B", kinds),
         refs=array("i", refs), origins=array("q", origins),
         codes=array("B", (HOSTILE if ref < 0 else 0 for ref in refs)))
 
 
-def _one_frame_at_a_time(self, times, sources, kinds, i, stop):
-    return i + 1 if self.filter_frame(sources[i], KIND_CODES[kinds[i]], times[i]) else i
+def _one_frame_at_a_time(self, plan, i):
+    hit = self.filter_frame(plan.sources[i], KIND_CODES[plan.kinds[i]], plan.times[i])
+    return [(i, i + 1)] if hit else ()
 
 
 def _replay_pcsm(cfg, plan, monkeypatch, per_frame):
     """What one run leaves: records, trust history, metrics, trust and tracker state.
 
-    Also returns the filtered runs as (start, end, stop) arrival indexes.
+    Also returns the filtered episodes, each as its list of (start, end)
+    arrival index ranges.  At every filter hit the filtered source holds
+    no reassembly session.
     """
-    stacks, runs = [], []
+    stacks, episodes = [], []
     make, filter_run = PredictiveCsmStack.from_config.__func__, PredictiveCsmStack.filter_run
 
     def from_config(cls, cfg, trace):
         stacks.append(make(cls, cfg, trace))
         return stacks[-1]
 
-    def spy(self, times, sources, kinds, i, stop):
-        j = filter_run(self, times, sources, kinds, i, stop)
-        if j > i:
-            runs.append((i, j, stop))
-        return j
+    def spy(self, plan, i):
+        ranges = filter_run(self, plan, i)
+        if ranges:
+            source = plan.sources[i]
+            assert all(s.source != source for s in self.buffer.sessions.values())
+            episodes.append(ranges)
+        return ranges
 
     with monkeypatch.context() as m:
         m.setattr(PredictiveCsmStack, "from_config", classmethod(from_config))
@@ -469,7 +475,7 @@ def _replay_pcsm(cfg, plan, monkeypatch, per_frame):
     states = {n: (st.score, st.blacklisted_until) for n, st in stack.engine.states.items()}
     tracks = {n: tr.last_frag1_time for n, tr in stack.tracker.tracks.items()}
     return (list(result.records), result.trust_history, collect(result).to_json(), states,
-            tracks), runs
+            tracks), episodes
 
 
 def _orphans(source, start, count, step=1.0):
@@ -488,7 +494,11 @@ def _fast_forward_case(case):
         # 200 s of Frag1 and FragN every 0.5 s, with no legit traffic to cut it
         cfg = dataclasses.replace(cfg, traffic=dataclasses.replace(cfg.traffic, phase_base=300.0))
         rows = blocked + [(15.0 + 0.5 * k, 2, int(k % 3 > 0)) for k in range(400)]
-    elif case == "lapse":
+    elif case in ("lapse", "lapse_in_a_run"):
+        if case == "lapse_in_a_run":
+            # no legit frame before 300 s: the lapse falls inside one run of node 2
+            cfg = dataclasses.replace(
+                cfg, traffic=dataclasses.replace(cfg.traffic, phase_base=300.0))
         # 20 -> 80 is a gap of exactly one block: the block has lapsed at 80
         rows = blocked + [(20.0, 2, 1), (80.0, 2, 1), (81.0, 2, 0), (82.0, 2, 1), (142.0, 2, 0)]
     elif case == "tick":
@@ -496,6 +506,16 @@ def _fast_forward_case(case):
         # timeout at the 51 s tick, while the blocked attacker sends every 0.25 s
         rows = blocked + [(15.0 + 0.25 * k, 2, k % 2) for k in range(200)]
         return cfg, _hand_plan(cfg, 1, rows, legit_kinds=(0,))
+    elif case == "two_sources":
+        # node 3 is blocked at t = 14.5 as node 2 is at 14; then they alternate
+        rows = sorted(blocked + _orphans(3, 10.5, 5)
+                      + [(15.0 + 0.25 * k, 2 + k % 2, k // 2 % 2) for k in range(200)])
+    elif case == "tick_block":
+        # node 3's one accepted Frag1 (t = 20) opens a session, five anomalous
+        # ones take its score to 0.325, and the 31 s tick that evicts the session
+        # blocks it, in the middle of node 2's episode; node 3 then keeps sending
+        node3 = [(20.0 + k, 3, 0) for k in range(6)] + _orphans(3, 32.0, 40, step=0.5)
+        rows = sorted(blocked + node3 + [(15.0 + 0.25 * k, 2, k % 2) for k in range(200)])
     else:
         # the attacker frames legit node 1, then sends under its address
         # while node 1's own trains arrive
@@ -503,36 +523,84 @@ def _fast_forward_case(case):
     return cfg, _hand_plan(cfg, 1, rows)
 
 
-@pytest.mark.parametrize("case", ["long_run", "lapse", "tick", "spoofed"])
+@pytest.mark.parametrize("case", ["long_run", "lapse", "lapse_in_a_run", "tick", "two_sources",
+                                  "tick_block", "spoofed"])
 def test_filtered_runs_equal_one_frame_at_a_time(case, monkeypatch):
     cfg, plan = _fast_forward_case(case)
-    fast, runs = _replay_pcsm(cfg, plan, monkeypatch, per_frame=False)
+    fast, episodes = _replay_pcsm(cfg, plan, monkeypatch, per_frame=False)
     slow, _ = _replay_pcsm(cfg, plan, monkeypatch, per_frame=True)
     assert fast == slow
-    records, _, _, states, tracks = fast
-    times, n = plan.times, len(plan.times)
+    records, history, _, states, tracks = fast
+    times, sources = plan.times, plan.sources
+    spans = [(ep[0][0], ep[-1][1] - 1) for ep in episodes]
     if case == "long_run":
-        # one run of 199.5 s, up to node 1's first train; its expiry is the
-        # last contact's plus one block
-        [(i, j, stop)] = runs
-        assert (times[i], times[j - 1], plan.sources[j], stop) == (15.0, 214.5, 1, n)
+        # one episode of 199.5 s, up to node 1's first train; its expiry is
+        # the last contact's plus one block
+        [[(i, j)]] = episodes
+        assert (times[i], times[j - 1], sources[j]) == (15.0, 214.5, 1)
         assert states[2][1] == 274.5
         assert tracks[2] == 214.5
-    elif case == "lapse":
+    elif case in ("lapse", "lapse_in_a_run"):
         hostile = [(r.disposition, r.prefiltered) for r in records[5:] if r.origin == 2]
         assert hostile == [("untrusted", True), ("no_session", False), ("untrusted", True),
                            ("untrusted", True), ("timeout", False)]
     elif case == "tick":
-        # runs stop at every whole second while the session is open, then run on
-        cut = [times[j - 1] for i, j, stop in runs if stop < n]
-        assert cut and all(j == stop for i, j, stop in runs if stop < n)
-        assert max(cut) == 51.0 < times[runs[-1][1] - 1]
+        # one episode, across the legit Frag1 and the 51 s tick that evicts its session
+        [(first, last)] = spans
+        assert (times[first], times[last]) == (15.0, 64.75)
+        assert len(episodes[0]) == 2
         assert {r.disposition for r in records if r.origin == 1} == {"timeout"}
+    elif case == "two_sources":
+        # the two episodes interleave frame by frame
+        assert sorted(sources[first] for first, _ in spans) == [2, 3]
+        assert all(b - a == 1 for ep in episodes for a, b in ep)
+        (first2, last2), (first3, last3) = sorted(spans, key=lambda span: sources[span[0]])
+        assert first2 < first3 < last2 < last3
+    elif case == "tick_block":
+        assert [r.disposition for r in records if r.source == 3][:6] == ["timeout"] + [
+            "untrusted"] * 5
+        # node 3's first score under the threshold comes from the tick
+        assert min((t, n) for t, n, score in history if n == 3 and score < 0.3) == (31.0, 3)
+        assert states[3][1] == 32.0 + 0.5 * 39 + 60.0
+        [node3] = [span for span in spans if sources[span[0]] == 3]
+        [node2] = [span for span in spans if sources[span[0]] == 2]
+        assert node2[0] < node3[0] and times[node3[0]] == 32.0 and node3[1] < node2[1]
     else:
         spoofed = [r for r in records if r.prefiltered and r.source == 1]
         assert {r.origin for r in spoofed} == {1, 2}
-        assert max(j - i for i, j, _ in runs) > 100
-        assert any(len({plan.origins[k] for k in range(i, j)}) == 2 for i, j, _ in runs)
+        assert max(b - a for ep in episodes for a, b in ep) > 100
+        assert any(len({plan.origins[k] for k in range(a, b)}) == 2
+                   for ep in episodes for a, b in ep)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("config", [f"pcsm-{kind}.yaml" for kind in ATTACK_KINDS]
+                         + ["sensitivity/base.yaml"])
+def test_episodes_equal_one_frame_at_a_time_on_bundled_configs(config, seed, monkeypatch):
+    cfg = load_config(REPO / "configs" / config)
+    plan = plan_arrivals(cfg, seed)
+    fast, episodes = _replay_pcsm(cfg, plan, monkeypatch, per_frame=False)
+    slow, _ = _replay_pcsm(cfg, plan, monkeypatch, per_frame=True)
+    assert fast == slow
+    if config != "pcsm-header_replay.yaml":
+        assert episodes
+
+
+@pytest.mark.parametrize("attacker", [9, 300, 2**31 - 1])
+def test_runs_are_each_sources_maximal_runs_of_consecutive_arrivals(attacker):
+    # ids past 255 take the match-flag column
+    cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
+    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, attacker=attacker))
+    plan = plan_arrivals(cfg, 1)
+    want, at = {}, 0
+    for source, group in itertools.groupby(plan.sources):
+        n = len(list(group))
+        want.setdefault(source, []).append((at, at + n))
+        at += n
+    assert attacker in want
+    for source, spans in want.items():
+        starts, ends = plan.runs(source)
+        assert list(zip(starts, ends)) == spans
 
 
 def _fragment_path_admitter(stack, plan, with_ext, legit):
