@@ -68,6 +68,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
+from operator import eq
 from typing import NamedTuple
 
 from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
@@ -337,17 +339,11 @@ class ArrivalPlan(NamedTuple):
         return built
 
     def runs(self, source: int) -> tuple[array, array]:
-        """Where each maximal run of source's consecutive arrivals starts, and where it ends.
-
-        Found in one byte per arrival: the source while node ids fit a byte, else a match flag.
-        """
+        """Where each maximal run of source's consecutive arrivals starts, and where it ends."""
         built = self.source_runs.get(source)
         if built is None:
-            try:
-                column, mark = bytes(self.sources.tolist()), source
-            except ValueError:
-                column, mark = bytes(map(source.__eq__, self.sources)), 1
-            spans = [run.span() for run in re.finditer(re.escape(bytes([mark])) + b"+", column)]
+            column = bytes(map(eq, self.sources, repeat(source)))
+            spans = [run.span() for run in re.finditer(b"\x01+", column)]
             built = self.source_runs[source] = (array("i", [a for a, _ in spans]),
                                                 array("i", [b for _, b in spans]))
         return built

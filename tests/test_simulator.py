@@ -588,7 +588,6 @@ def test_episodes_equal_one_frame_at_a_time_on_bundled_configs(config, seed, mon
 
 @pytest.mark.parametrize("attacker", [9, 300, 2**31 - 1])
 def test_runs_are_each_sources_maximal_runs_of_consecutive_arrivals(attacker):
-    # ids past 255 take the match-flag column
     cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
     cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, attacker=attacker))
     plan = plan_arrivals(cfg, 1)
