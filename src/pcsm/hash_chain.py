@@ -41,7 +41,6 @@ class HashChainState(NamedTuple):
 
     key: bytes
     prev_hash: bytes
-    nonce: bytes
 
 
 @lru_cache(maxsize=32)
@@ -69,7 +68,7 @@ def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes) -> HashChainState
     if not key:
         raise EmptyKey("chain key must be non-empty")
     h0 = _digest(key, payload_frag1 + nonce)
-    return HashChainState(key, h0, nonce)
+    return HashChainState(key, h0)
 
 
 def chain_tag(state: HashChainState) -> bytes:
@@ -80,7 +79,7 @@ def chain_tag(state: HashChainState) -> bytes:
 def next_hash(state: HashChainState, payload: bytes) -> tuple[HashChainState, bytes]:
     """Advance the chain over one payload, returning the new wire tag."""
     digest = _digest(state.key, state.prev_hash + payload)
-    advanced = HashChainState(state.key, digest, state.nonce)
+    advanced = HashChainState(state.key, digest)
     return advanced, digest[:TAG_LEN]
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .frag_codec import FRAG1, KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
 from .hash_chain import HashChainState, seed_chain, validate_fragment
-from .trust_engine import ObservationTracker, TrustEngine, TrustParams
+from .trust_engine import TrustEngine, TrustParams
 
 # CPU milliseconds charged per keyed-hash operation (seed or verify).
 HASH_CPU_MS = 0.5
@@ -438,7 +438,6 @@ class PredictiveCsmStack(ReceiverStack):
         super().__init__(slots, timeout)
         self.key = key
         self.engine = TrustEngine(trust, nominal_interval, keep_trust_history)
-        self.tracker = ObservationTracker(nominal_interval)
         self.ledger = ReplayLedger()
         self.block_events = self.engine.block_events
         self.trust_history = self.engine.history
@@ -455,12 +454,13 @@ class PredictiveCsmStack(ReceiverStack):
         source and the dispatch kind, so a caller can drop a frame here
         without ever building its fragment.  Filtered frames never reach
         the stack proper (no RX or CPU cost for the receiver), but the
-        contact still refreshes the block and the source's timing track.
+        contact still refreshes the block and the source's first-fragment
+        time, so probing during a block cannot launder its inter-arrival.
         """
         if not self.engine.note_blocked_contact(source, now):
             return False
         if kind is FRAG1:
-            self.tracker.touch(source, now)
+            self.engine.states[source].last_frag1_time = now
         return True
 
     def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
@@ -469,12 +469,12 @@ class PredictiveCsmStack(ReceiverStack):
         A blocked source holds no session, since every move into a block
         purges its sessions (_purge_if_blocked, from _screen, _rejected
         and _expired); so only its own arrivals change its block expiry
-        and tracker entry, and each filtered one pushes the expiry to its
-        time plus block_duration.  Its next arrival is therefore filtered
-        iff it comes before its predecessor's time plus block_duration,
-        whatever other sources' frames and ticks fall between.  Then the
-        expiry takes one push and the tracker one touch, with what
-        per-frame calls would have left.
+        and last first-fragment time, and each filtered one pushes the
+        expiry to its time plus block_duration.  Its next arrival is
+        therefore filtered iff it comes before its predecessor's time plus
+        block_duration, whatever other sources' frames and ticks fall
+        between.  Then the expiry and the first-fragment time each take
+        one write, with what per-frame calls would have left.
         """
         times, source = plan.times, plan.sources[i]
         if not self.filter_frame(source, KIND_CODES[plan.kinds[i]], times[i]):
@@ -506,7 +506,7 @@ class PredictiveCsmStack(ReceiverStack):
             k = kinds.rfind(KIND_CODES.index(FRAG1), a, b)
             if k >= 0:
                 if k > i:
-                    self.tracker.touch(source, times[k])
+                    state.last_frag1_time = times[k]
                 break
         return ranges
 
@@ -522,7 +522,7 @@ class PredictiveCsmStack(ReceiverStack):
         return self.filter_frame(source, kind, now)
 
     def _screen(self, source: int, tag: int, now: float) -> bool:
-        obs = self.tracker.observe_frag1(source, tag, now)
+        obs = self.engine.observe_frag1(source, tag, now)
         accept, anomalous = self.engine.evaluate_frag1(source, obs, now)
         if accept and not anomalous:
             return True
@@ -533,9 +533,9 @@ class PredictiveCsmStack(ReceiverStack):
         return seed_chain(self.key, payload, nonce)
 
     def _rejected(self, source: int, now: float, bad_chain: bool) -> None:
-        self.engine.penalize(source, now)
+        state = self.engine.penalize(source, now)
         if bad_chain:
-            self.tracker.note_violation(source)
+            state.violation_pending = True
         self._purge_if_blocked(source, now)
 
     def _expired(self, source: int, now: float) -> None:

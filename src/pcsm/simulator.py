@@ -50,8 +50,8 @@ fragments, whose record is its arrival index.  An adversary frame goes
 through the stack's gates straight from its row of the attack schedule,
 with blob slices for its payload, nonce and signature, in the wire
 shape of the stack under test, and gets a fragment only if a session
-stores it.  A header replay is the exception: it is built as a fragment
-that carries the victim's own signed first-fragment header.
+stores it.  A header replay takes its nonce and signature from the
+victim's own signed first fragment.
 
 A run's records are FrameRecords: the plan's arrival columns plus one
 byte per arrival for this run's disposition.  A FrameRecord is built
@@ -68,6 +68,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from itertools import repeat
 from operator import eq
 from typing import NamedTuple
@@ -625,9 +626,9 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
 def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fragment]):
     """admit(k, record, now): adversary emission k, arrival record, through stack's gates.
 
-    A header replay goes to stack.admit as a Fragment; any other emission
-    to stack.admit_fields, as its row and blob slices, and it becomes a
-    Fragment only if a session stores it.
+    Every emission goes to stack.admit_fields as its row and blob slices (a
+    header replay with its victim's signed nonce and signature, from legit
+    indexed by firsts) and becomes a Fragment only if a session stores it.
     """
     attack, firsts, corrupt = plan.attack, plan.firsts, plan.attack_corrupt
     blob, victims, sources, kinds = attack.blob, attack.victims, attack.sources, attack.kinds
@@ -641,43 +642,32 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
         payload = bytes(blob[at : at + payload_len[k]])
         if corrupt[k]:
             payload = _corrupt_payload(payload)
-
-        def build() -> Fragment:
-            frag = _materialize_emission(attack, k, with_ext, legit, firsts, payload)
-            frag.record = record
-            return frag
-
-        if victims[k] >= 0:
-            return stack.admit(build(), now)
         nonce = signature = None
-        if with_ext:
+        if victims[k] >= 0:
+            ext = legit[firsts[victims[k]]].header.ext
+            if ext is not None:
+                nonce, signature = ext.nonce, ext.signature
+        elif with_ext:
             at = nonce_at[k]
             nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
             at = sig_at[k]
             signature = bytes(blob[at : at + 8])
-        return admit_fields(sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k],
-                            nonce, signature, payload, now, build)
+        source, kind, size, tag, offset = (
+            sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k])
+        build = partial(_materialize_emission, source, kind, size, tag, offset, nonce,
+                        signature, payload, record)
+        return admit_fields(source, kind, size, tag, offset, nonce, signature, payload, now,
+                            build)
 
     return admit
 
 
-def _materialize_emission(attack: AttackSchedule, i: int, with_ext: bool,
-                          legit: list[Fragment], firsts: array, payload: bytes) -> Fragment:
-    """Emission i of attack, carrying payload, in the wire shape the stack under test expects.
+def _materialize_emission(source: int, kind: FragmentKind, size: int, tag: int, offset: int,
+                          nonce: bytes | None, signature: bytes | None, payload: bytes,
+                          record: int) -> Fragment:
+    """The Fragment an adversary emission's fields describe, accounted at arrival record.
 
-    payload is the emission's slice of the blob, as the channel left it.
-    A header replay carries its victim's first-fragment header as legit
-    (the plan's signed fragments, indexed by firsts) holds it.
+    The frame carries an extension unless nonce is None.
     """
-    blob = attack.blob
-    victim = attack.victims[i]
-    if victim >= 0:
-        return Fragment(legit[firsts[victim]].header, payload, attack.sources[i])
-    ext = None
-    if with_ext:
-        nonce_at, sig_at = attack.nonce_at[i], attack.sig_at[i]
-        nonce = bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b""
-        ext = ExtensionFields(255, nonce, bytes(blob[sig_at : sig_at + 8]))
-    header = FragmentHeader(KIND_CODES[attack.kinds[i]], attack.sizes[i], attack.tags[i],
-                            attack.offsets[i], ext)
-    return Fragment(header, payload, attack.sources[i])
+    ext = None if nonce is None else ExtensionFields(255, nonce, signature)
+    return Fragment(FragmentHeader(kind, size, tag, offset, ext), payload, source, record)

@@ -47,6 +47,12 @@ class TrustState:
     ewma_rate: float
     sequence_violations: int = 0
     blacklisted_until: float | None = None
+    # time of the previous first fragment, for inter-arrival and rate
+    last_frag1_time: float | None = None
+    # recently seen datagram tags: reuse inside the window is a sequence violation
+    recent_tags: deque = field(default_factory=lambda: deque(maxlen=8))
+    # a reassembly-layer violation, consumed by the next observation
+    violation_pending: bool = False
 
 
 class BehaviorObservation(NamedTuple):
@@ -146,6 +152,20 @@ class TrustEngine:
         d_seq = 0.0 if obs.sequence_ok else 1.0
         return max(d_rate, d_ia, d_seq)
 
+    def observe_frag1(self, node: int, tag: int, now: float) -> BehaviorObservation:
+        """The traffic features of node's first fragment carrying tag, arriving now."""
+        st = self.state(node)
+        if st.last_frag1_time is None:
+            inter_arrival = self.nominal_interval
+        else:
+            inter_arrival = now - st.last_frag1_time
+        rate = 1.0 / max(inter_arrival, _MIN_INTER_ARRIVAL)
+        sequence_ok = not st.violation_pending and tag not in st.recent_tags
+        st.violation_pending = False
+        st.recent_tags.append(tag)
+        st.last_frag1_time = now
+        return BehaviorObservation(inter_arrival, rate, sequence_ok)
+
     def evaluate_frag1(
         self, node: int, obs: BehaviorObservation, now: float
     ) -> tuple[bool, bool]:
@@ -169,56 +189,3 @@ class TrustEngine:
             st.ewma_rate = a * obs.rate + (1 - a) * st.ewma_rate
         accept = st.score >= p.threshold and not self.is_blocked(node, now)
         return accept, anomalous
-
-
-@dataclass
-class _SourceTrack:
-    last_frag1_time: float | None = None
-    recent_tags: deque = field(default_factory=lambda: deque(maxlen=8))
-    violation_pending: bool = False
-
-
-class ObservationTracker:
-    """Builds BehaviorObservations from the raw arrival stream.
-
-    Tracks, per source: time of the previous first-fragment (for
-    inter-arrival and rate), recently seen datagram tags (reuse inside
-    the window is a sequence violation), and violations reported by the
-    reassembly layer (consumed by the next observation).
-    """
-
-    def __init__(self, nominal_interval: float = 90.0):
-        self.nominal_interval = nominal_interval
-        self.tracks: dict[int, _SourceTrack] = {}
-
-    def _track(self, source: int) -> _SourceTrack:
-        tr = self.tracks.get(source)
-        if tr is None:
-            tr = _SourceTrack()
-            self.tracks[source] = tr
-        return tr
-
-    def observe_frag1(self, source: int, tag: int, now: float) -> BehaviorObservation:
-        tr = self._track(source)
-        if tr.last_frag1_time is None:
-            inter_arrival = self.nominal_interval
-        else:
-            inter_arrival = now - tr.last_frag1_time
-        rate = 1.0 / max(inter_arrival, _MIN_INTER_ARRIVAL)
-        sequence_ok = not tr.violation_pending and tag not in tr.recent_tags
-        tr.violation_pending = False
-        tr.recent_tags.append(tag)
-        tr.last_frag1_time = now
-        return BehaviorObservation(inter_arrival, rate, sequence_ok)
-
-    def note_violation(self, source: int) -> None:
-        """Reassembly-layer misbehavior, folded into the next observation."""
-        self._track(source).violation_pending = True
-
-    def touch(self, source: int, now: float) -> None:
-        """Record contact time for a frame dropped before observation.
-
-        Keeps blocked sources from laundering their inter-arrival
-        statistics by probing during a block.
-        """
-        self._track(source).last_frag1_time = now

@@ -30,7 +30,7 @@ from pcsm.frag_codec import (
     FragmentHeader,
     FragmentKind,
 )
-from pcsm.simulator import _materialize_emission, plan_arrivals
+from pcsm.simulator import _corrupt_payload, _emission_admitter, plan_arrivals
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -451,18 +451,29 @@ def _ref_materialize(em, with_ext, legit, firsts):
     return Fragment(header, em.payload, source=em.claimed_source)
 
 
+class _BuildingStack:
+    """Gates that let every frame through and return the Fragment it would be stored as."""
+
+    @staticmethod
+    def admit_fields(src, kind, size, tag, offset, nonce, signature, payload, now, build):
+        return build()
+
+
 @pytest.mark.parametrize("seed", range(1, 4))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
-    """Header (ext nonce and signature included) and source for every emission; the payload
-    is the caller's slice and passes through."""
+    """Header (ext nonce and signature included), payload as the channel left it, source
+    and record for every emission the admitter hands to the gates."""
     plan = plan_arrivals(load_config(REPO / f"configs/pcsm-{kind}.yaml"), seed)
-    attack = plan.attack
-    ems = _rows(attack)
+    ems = _rows(plan.attack)
     assert ems
     for signer in (None, "chain", "mac"):
         legit, with_ext = plan.wire(signer).fragments, signer is not None
+        admit = _emission_admitter(_BuildingStack, plan, with_ext, legit)
         for i, em in enumerate(ems):
-            got = _materialize_emission(attack, i, with_ext, legit, plan.firsts, em.payload)
+            got = admit(i, 1000 + i, 0.0)
             want = _ref_materialize(em, with_ext, legit, plan.firsts)
-            assert (got.header, got.payload, got.source) == (want.header, want.payload, want.source)
+            if plan.attack_corrupt[i]:
+                want.payload = _corrupt_payload(want.payload)
+            assert (got.header, got.payload, got.source, got.record) == (
+                want.header, want.payload, want.source, 1000 + i)

@@ -46,7 +46,7 @@ def test_trust_params_mapping_uses_send_interval_as_nominal():
     assert stack.engine.params.forgetting_factor == 0.8
     assert stack.engine.params.threshold == 0.2
     assert stack.engine.state(1).ewma_inter_arrival == 45.0
-    assert stack.tracker.observe_frag1(1, 1, 10.0).inter_arrival == 45.0
+    assert stack.engine.observe_frag1(1, 1, 10.0).inter_arrival == 45.0
 
 
 def test_attack_section_builds_spec_with_overrides():

@@ -252,7 +252,7 @@ def test_fragment_packet_extensions_are_zero_filled_and_frozen():
 _FROZEN_VALUES = [
     (ExtensionFields(7, bytes(NONCE_LEN), bytes(SIGNATURE_LEN)), "trust_byte", 8),
     (FragmentHeader(FragmentKind.FRAGN, 200, 5, 12), "datagram_offset", 13),
-    (HashChainState(b"key", bytes(20), bytes(NONCE_LEN)), "prev_hash", bytes(range(20))),
+    (HashChainState(b"key", bytes(20)), "prev_hash", bytes(range(20))),
     (BehaviorObservation(90.0, 1 / 90.0, True), "sequence_ok", False),
 ]
 

@@ -259,38 +259,38 @@ def test_prefiltered_frag1_pushes_expiry_and_touches_timing_track():
     # now + block_duration (60 s) falls before the current expiry: left alone
     assert stack.filter_frame(9, FragmentKind.FRAG1, 120.0)
     assert stack.engine.state(9).blacklisted_until == 200.0
-    assert stack.tracker.tracks[9].last_frag1_time == 120.0
+    assert stack.engine.states[9].last_frag1_time == 120.0
     # now + block_duration is later: the expiry moves to it
     assert stack.filter_frame(9, FragmentKind.FRAG1, 150.0)
     assert stack.engine.state(9).blacklisted_until == 210.0
-    assert stack.tracker.tracks[9].last_frag1_time == 150.0
+    assert stack.engine.states[9].last_frag1_time == 150.0
 
 
 def test_prefiltered_fragn_pushes_expiry_but_leaves_timing_track():
     stack = _blocked_stack(9, 200.0)
-    stack.tracker.observe_frag1(9, 1, 100.0)
+    stack.engine.observe_frag1(9, 1, 100.0)
     assert stack.filter_frame(9, FragmentKind.FRAGN, 170.0)
     assert stack.engine.state(9).blacklisted_until == 230.0
-    assert stack.tracker.tracks[9].last_frag1_time == 100.0
+    assert stack.engine.states[9].last_frag1_time == 100.0
     fresh = _blocked_stack(8, 200.0)
     assert fresh.filter_frame(8, FragmentKind.FRAGN, 170.0)
-    assert 8 not in fresh.tracker.tracks
+    assert fresh.engine.states[8].last_frag1_time is None
 
 
 def test_prefilter_passes_unknown_and_unblocked_sources_without_state():
     stack = _stack()
     for kind in FragmentKind:
         assert not stack.filter_frame(5, kind, 100.0)
-    assert stack.engine.states == {} and stack.tracker.tracks == {}
+    assert stack.engine.states == {}
     lapsed = _blocked_stack(9, 200.0)
     for kind in FragmentKind:
         # the block has lapsed at its expiry instant, and a passed frame
-        # neither moves the expiry nor opens a timing track
+        # neither moves the expiry nor sets a first-fragment time
         assert not lapsed.filter_frame(9, kind, 200.0)
     assert lapsed.engine.state(9).blacklisted_until == 200.0
-    assert lapsed.tracker.tracks == {}
+    assert lapsed.engine.states[9].last_frag1_time is None
     idle = _stack()
     idle.engine.state(4)
     assert not idle.filter_frame(4, FragmentKind.FRAG1, 100.0)
     assert idle.engine.states[4].blacklisted_until is None
-    assert idle.tracker.tracks == {}
+    assert idle.engine.states[4].last_frag1_time is None

@@ -19,6 +19,7 @@ from pcsm.frag_codec import (
     KIND_CODES,
     MAX_FRAGMENT_PAYLOAD,
     ExtensionFields,
+    Fragment,
     FragmentHeader,
     FragmentKind,
     encode_header,
@@ -30,7 +31,6 @@ from pcsm.simulator import (
     HOSTILE,
     _corrupt_payload,
     _legit_schedule,
-    _materialize_emission,
     legit_traffic,
     plan_arrivals,
     simulate,
@@ -390,23 +390,25 @@ def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch
 
     plan = plan_arrivals(cfg, 4)
 
-    def admit(self, frag, now):
-        if plan.origins[frag.record] != frag.source:
-            replays.append(frag)
-        return baselines.ReceiverStack.admit(self, frag, now)
+    def admit_fields(self, src, kind, size, tag, offset, nonce, signature, payload, now, build):
+        frag = build()
+        if plan.origins[frag.record] != src:
+            replays.append((frag, nonce, signature))
+        return baselines.ReceiverStack.admit_fields(
+            self, src, kind, size, tag, offset, nonce, signature, payload, now, build)
 
-    monkeypatch.setattr(cls, "admit", admit)
+    monkeypatch.setattr(cls, "admit_fields", admit_fields)
     simulate(cfg, seed=4, plan=plan)
     sends = {(s.source, s.tag): s for s in _legit_schedule(cfg, 4)}
     assert len(replays) > 100
-    for frag in replays:
+    for frag, nonce, signature in replays:
         victim = sends[frag.source, frag.header.datagram_tag]
         first = victim.payload[:MAX_FRAGMENT_PAYLOAD]
         assert frag.header.kind is FragmentKind.FRAG1
         assert (frag.header.datagram_size, frag.header.datagram_offset) == (288, 0)
         assert len(frag.payload) == len(first) and frag.payload != first
         if cls.SIGNER is None:
-            assert frag.header.ext is None
+            assert frag.header.ext is None and nonce is signature is None
             continue
         if cls.SIGNER == "chain":
             sig = chain_tag(seed_chain(b"replay-key", first, victim.nonce))
@@ -414,6 +416,7 @@ def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch
             sig = fragment_mac(b"replay-key", victim.source, FragmentKind.FRAG1, 288,
                                victim.tag, 0, victim.nonce, first)
         assert frag.header.ext == ExtensionFields(255, victim.nonce, sig)
+        assert (nonce, signature) == (victim.nonce, sig)
 
 
 def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1)):
@@ -446,7 +449,7 @@ def _one_frame_at_a_time(self, plan, i):
 
 
 def _replay_pcsm(cfg, plan, monkeypatch, per_frame):
-    """What one run leaves: records, trust history, metrics, trust and tracker state.
+    """What one run leaves: records, trust history, metrics, trust state, Frag1 times.
 
     Also returns the filtered episodes, each as its list of (start, end)
     arrival index ranges.  At every filter hit the filtered source holds
@@ -473,7 +476,7 @@ def _replay_pcsm(cfg, plan, monkeypatch, per_frame):
         result = simulate(cfg, plan.seed, trace=True, plan=plan)
     [stack] = stacks
     states = {n: (st.score, st.blacklisted_until) for n, st in stack.engine.states.items()}
-    tracks = {n: tr.last_frag1_time for n, tr in stack.tracker.tracks.items()}
+    tracks = {n: st.last_frag1_time for n, st in stack.engine.states.items()}
     return (list(result.records), result.trust_history, collect(result).to_json(), states,
             tracks), episodes
 
@@ -603,15 +606,31 @@ def test_runs_are_each_sources_maximal_runs_of_consecutive_arrivals(attacker):
 
 
 def _fragment_path_admitter(stack, plan, with_ext, legit):
-    """Every adversary emission built as a Fragment first, then admitted: the reference."""
+    """Every adversary emission built as a Fragment first, then admitted: the reference.
+
+    A header replay carries its victim's signed first-fragment header;
+    any other emission the header its row describes.
+    """
     attack = plan.attack
+    blob = attack.blob
 
     def admit(k, record, now):
         at = attack.payload_at[k]
-        payload = bytes(attack.blob[at : at + attack.payload_len[k]])
+        payload = bytes(blob[at : at + attack.payload_len[k]])
         if plan.attack_corrupt[k]:
             payload = _corrupt_payload(payload)
-        frag = _materialize_emission(attack, k, with_ext, legit, plan.firsts, payload)
+        victim = attack.victims[k]
+        if victim >= 0:
+            header = legit[plan.firsts[victim]].header
+        else:
+            ext = None
+            if with_ext:
+                nonce_at, sig_at = attack.nonce_at[k], attack.sig_at[k]
+                nonce = bytes(blob[nonce_at : nonce_at + 4]) if nonce_at >= 0 else b""
+                ext = ExtensionFields(255, nonce, bytes(blob[sig_at : sig_at + 8]))
+            header = FragmentHeader(KIND_CODES[attack.kinds[k]], attack.sizes[k],
+                                    attack.tags[k], attack.offsets[k], ext)
+        frag = Fragment(header, payload, attack.sources[k])
         frag.record = record
         return stack.admit(frag, now)
 

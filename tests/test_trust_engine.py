@@ -5,7 +5,6 @@ import random
 
 from pcsm.trust_engine import (
     BehaviorObservation,
-    ObservationTracker,
     TrustEngine,
     TrustParams,
     update_score,
@@ -204,8 +203,8 @@ def test_sequence_violation_counts_and_deviation_floor():
     assert not anomalous
 
 
-def test_tracker_builds_observations():
-    tr = ObservationTracker(nominal_interval=90.0)
+def test_observe_frag1_builds_observations():
+    tr = TrustEngine(nominal_interval=90.0)
     first = tr.observe_frag1(1, 100, 50.0)
     assert first.inter_arrival == 90.0  # first contact is neutral
     assert first.sequence_ok
@@ -217,21 +216,22 @@ def test_tracker_builds_observations():
     assert not replayed.sequence_ok
 
 
-def test_tracker_violations_and_touch():
-    tr = ObservationTracker()
-    tr.note_violation(5)
+def test_observe_frag1_consumes_violations_and_follows_touches():
+    tr = TrustEngine()
+    tr.state(5).violation_pending = True
     obs = tr.observe_frag1(5, 1, 100.0)
     assert not obs.sequence_ok
     obs = tr.observe_frag1(5, 2, 190.0)
     assert obs.sequence_ok  # violation flag consumed
-    # touch records contact without an observation
-    tr.touch(5, 300.0)
+    assert not tr.states[5].violation_pending
+    # a touch records contact without an observation
+    tr.states[5].last_frag1_time = 300.0
     probe = tr.observe_frag1(5, 3, 301.0)
     assert probe.inter_arrival == 1.0
 
 
 def test_same_instant_arrivals_have_finite_rate():
-    tr = ObservationTracker()
+    tr = TrustEngine()
     tr.observe_frag1(1, 1, 100.0)
     obs = tr.observe_frag1(1, 2, 100.0)
     assert obs.inter_arrival == 0.0
