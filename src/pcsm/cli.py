@@ -180,6 +180,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _write_grid(out: Path, stem: str, aggs: list[dict], rows: list[dict]) -> int:
+    """stem.jsonl, one aggregate per line, and stem.txt, the table of rows, also printed."""
+    _write_text(out / f"{stem}.jsonl", "".join(json.dumps(a, sort_keys=True) + "\n" for a in aggs))
+    table = render_table(rows, list(rows[0]))
+    _write_text(out / f"{stem}.txt", table + "\n")
+    print(table)
+    return EXIT_OK
+
+
 def _scenario_key(kind: str) -> tuple:
     if kind == "none":
         return (0, "")
@@ -211,30 +220,13 @@ def cmd_matrix(args) -> int:
                       f"row omitted", file=sys.stderr)
 
     order = sorted(cells, key=lambda c: (_scenario_key(c[0]), STACKS.index(c[1])))
-    rows = []
-    lines = []
-    for (kind, stack), metrics in zip(order, _sweep([cells[c] for c in order], seeds)):
-        agg = aggregate(metrics)
-        lines.append(json.dumps(agg, sort_keys=True))
-        det = agg["detection_latency_s"]
-        rows.append(
-            {
-                "scenario": kind,
-                "stack": stack,
-                "pdr": _fmt(agg["pdr"]["mean"]),
-                "drop_rate": _fmt(agg["legit_drop_rate"]["mean"]),
-                "detect_s": _fmt(det["median"], 3) if det else "-",
-                "power_mw": _fmt(agg["avg_power_mw"]["mean"], 4),
-            }
-        )
-
-    _write_text(out / "matrix.jsonl", "".join(line + "\n" for line in lines))
-    table = render_table(
-        rows, ["scenario", "stack", "pdr", "drop_rate", "detect_s", "power_mw"]
-    )
-    _write_text(out / "matrix.txt", table + "\n")
-    print(table)
-    return EXIT_OK
+    aggs = [aggregate(metrics) for metrics in _sweep([cells[c] for c in order], seeds)]
+    rows = [{"scenario": kind, "stack": stack, "pdr": _fmt(agg["pdr"]["mean"]),
+             "drop_rate": _fmt(agg["legit_drop_rate"]["mean"]),
+             "detect_s": _fmt((agg["detection_latency_s"] or {}).get("median"), 3),
+             "power_mw": _fmt(agg["avg_power_mw"]["mean"], 4)}
+            for (kind, stack), agg in zip(order, aggs)]
+    return _write_grid(out, "matrix", aggs, rows)
 
 
 def cmd_sensitivity(args) -> int:
@@ -253,35 +245,14 @@ def cmd_sensitivity(args) -> int:
         )
         for lam, theta in grid
     ]
-    rows = []
-    lines = []
-    for (lam, theta), metrics in zip(grid, _sweep(cells, seeds)):
-        agg = aggregate(metrics)
-        agg["forgetting_factor"] = lam
-        agg["threshold"] = theta
-        label = SENSITIVITY_LABELS.get((lam, theta), "")
-        agg["label"] = label
-        lines.append(json.dumps(agg, sort_keys=True))
-        ident = agg["identification_latency_s"]
-        rows.append(
-            {
-                "lambda": lam,
-                "theta": theta,
-                "label": label,
-                "identify_s": _fmt(ident["mean"], 3) if ident else "-",
-                "false_blocks_per_100": _fmt(agg["false_block_rate"]["mean"], 3),
-                "pdr": _fmt(agg["pdr"]["mean"]),
-            }
-        )
-
-    _write_text(out / "sensitivity.jsonl", "".join(line + "\n" for line in lines))
-    table = render_table(
-        rows,
-        ["lambda", "theta", "label", "identify_s", "false_blocks_per_100", "pdr"],
-    )
-    _write_text(out / "sensitivity.txt", table + "\n")
-    print(table)
-    return EXIT_OK
+    aggs = [{**aggregate(metrics), "forgetting_factor": lam, "threshold": theta,
+             "label": SENSITIVITY_LABELS.get((lam, theta), "")}
+            for (lam, theta), metrics in zip(grid, _sweep(cells, seeds))]
+    rows = [{"lambda": agg["forgetting_factor"], "theta": agg["threshold"], "label": agg["label"],
+             "identify_s": _fmt((agg["identification_latency_s"] or {}).get("mean"), 3),
+             "false_blocks_per_100": _fmt(agg["false_block_rate"]["mean"], 3),
+             "pdr": _fmt(agg["pdr"]["mean"])} for agg in aggs]
+    return _write_grid(out, "sensitivity", aggs, rows)
 
 
 def cmd_analytic(args) -> int:

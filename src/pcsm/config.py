@@ -11,7 +11,7 @@ verbatim before exiting.
 from __future__ import annotations
 
 import sys
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 
 import yaml
 
@@ -110,6 +110,8 @@ def _int(section, key, path, default, *, lo=None, hi=None):
     return value
 
 
+# A run holds its whole plan at once, so a config may plan at most this many arrivals.
+MAX_PLANNED_ARRIVALS = 10**7
 # Bounds per field, shared by every section; a field not listed takes
 # the lower bound of its type, 1 for an integer and 0.0 for a number.
 _UNIT = {"lo": 0.0, "hi": 1.0}
@@ -139,6 +141,8 @@ _BOUNDS = {
     "flood_interval": _POSITIVE,
     "replay_interval": _POSITIVE,
     "burst_rate": _POSITIVE,
+    # each alone can plan as many arrivals; see planned_arrivals
+    **dict.fromkeys(("senders", "salvo_size", "late_orphans"), {"hi": MAX_PLANNED_ARRIVALS}),
 }
 # YAML keys that differ from the field they set
 _YAML_KEYS = {"forgetting_factor": "lambda", "threshold": "theta"}
@@ -183,6 +187,39 @@ def _parse_attack(data, senders: int) -> AttackSpec | None:
     return spec
 
 
+# the fields that size a plan, in the order a tie names them
+_PLAN_FIELDS = ("duration", "senders", "traffic.send_interval", "traffic.payload_bytes") + tuple(
+    "attack." + name for name in ("start", "warmup_start", "warmup_interval", "salvo_size",
+                                  "flood_interval", "flood_bytes", "replay_interval",
+                                  "burst_rate", "late_orphans"))
+
+
+def planned_arrivals(cfg: ScenarioConfig) -> float:
+    """At least the frames cfg's plan builds: each sender counts one send more than fits."""
+    tr, a = cfg.traffic, cfg.attack
+    sends = cfg.senders * (cfg.duration / tr.send_interval + 1)
+    legit = sends * -(-tr.payload_bytes // MAX_FRAGMENT_PAYLOAD)
+    if a is None:
+        return legit
+    window = max(cfg.duration - a.start, 0.0)
+    warmup = max(min(a.start, cfg.duration) - a.warmup_start, 0.0) / a.warmup_interval + 1
+    return legit + {
+        "early_frag1": warmup + sends * a.salvo_size,
+        "complete_flooding": warmup + (window / a.flood_interval + 1)
+        * -(-a.flood_bytes // MAX_FRAGMENT_PAYLOAD),
+        "header_replay": window / a.replay_interval + 1,
+        "burst_injection": warmup + window * a.burst_rate + 1,
+        "late_phase": warmup + sends * a.late_orphans,
+    }[a.kind]
+
+
+def _with_default(cfg: ScenarioConfig, path: str) -> ScenarioConfig:
+    section, _, name = path.rpartition(".")
+    part = getattr(cfg, section) if section else cfg
+    changed = replace(part, **{name: next(f.default for f in fields(part) if f.name == name)})
+    return replace(cfg, **{section: changed}) if section else changed
+
+
 def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
     """Validate a deserialized scenario mapping into a ScenarioConfig."""
     top = _require_map(data, "config")
@@ -214,6 +251,13 @@ def parse_config(data, *, default_name: str = "scenario") -> ScenarioConfig:
     _reject_unknown(top, "")
     if cfg.attack is not None and cfg.attack.attacker <= cfg.senders:
         raise ConfigInvalid("attack.attacker", "collides with a sender id")
+    planned = planned_arrivals(cfg)
+    if planned > MAX_PLANNED_ARRIVALS:
+        # named: the field whose default would shrink the plan most
+        path = min((p for p in _PLAN_FIELDS if cfg.attack or not p.startswith("attack.")),
+                   key=lambda p: planned_arrivals(_with_default(cfg, p)))
+        raise ConfigInvalid(path, f"plans about {planned:.3g} arrivals, "
+                                  f"more than the {MAX_PLANNED_ARRIVALS:.0e} a run may hold")
     return cfg
 
 

@@ -2,7 +2,7 @@
 
 Implements bit-exact encoding and decoding of the two fragmentation
 header forms (first fragment and continuation fragment), an optional
-trailing extension carrying a quantized trust byte, a nonce, and a
+trailing extension carrying a trust byte (senders stamp 255), a nonce, and a
 truncated keyed-hash signature, plus payload slicing into fragments.
 
 Layout, big-endian throughout:
@@ -76,15 +76,6 @@ class FragmentKind(Enum):
 # one-byte kind codes, as columns of frames store a kind: code 0 is FRAG1
 KIND_CODES = (FragmentKind.FRAG1, FragmentKind.FRAGN)
 FRAG1, FRAGN = KIND_CODES  # plain globals: Python 3.11's EnumType.__getattr__ slows FragmentKind.X
-
-
-def quantize_trust(score: float) -> int:
-    """Map a trust score in [0,1] to the 1-byte wire field."""
-    return max(0, min(255, round(score * 255)))
-
-
-def dequantize_trust(byte_value: int) -> float:
-    return byte_value / 255.0
 
 
 class ExtensionFields(NamedTuple):

@@ -17,6 +17,10 @@ so one bad fragment poisons the remainder of that datagram.
 HMAC-SHA1 is computed as RFC 2104 section 4 suggests: the key's inner
 and outer pads are absorbed into two SHA-1 states once per key, and
 each digest copies those states instead of rehashing the pads.
+
+A signer may record the chain state each link reaches in ChainLinks; a
+receiver handed them looks each link up before hashing it (a miss is
+hashed, never added).
 """
 
 from __future__ import annotations
@@ -43,6 +47,14 @@ class HashChainState(NamedTuple):
     prev_hash: bytes
 
 
+class ChainLinks(dict):
+    """(payload_0, nonce) and (H_{i-1}, payload_i) -> the state at H_0 and H_i, signed under key."""
+
+    def __init__(self, key: bytes):
+        super().__init__()
+        self.key = key
+
+
 @lru_cache(maxsize=32)
 def keyed(key: bytes) -> tuple:
     """SHA-1 states with key^ipad and key^opad absorbed: copy them, never update them."""
@@ -63,12 +75,13 @@ def _digest(key: bytes, data: bytes) -> bytes:
     return outer.digest()
 
 
-def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes) -> HashChainState:
+def seed_chain(key: bytes, payload_frag1: bytes, nonce: bytes,
+               links: ChainLinks | None = None) -> HashChainState:
     """Start a chain from the first fragment's payload and a nonce."""
     if not key:
         raise EmptyKey("chain key must be non-empty")
-    h0 = _digest(key, payload_frag1 + nonce)
-    return HashChainState(key, h0)
+    found = links.get((payload_frag1, nonce)) if links is not None and links.key == key else None
+    return found or HashChainState(key, _digest(key, payload_frag1 + nonce))
 
 
 def chain_tag(state: HashChainState) -> bytes:
@@ -84,37 +97,47 @@ def next_hash(state: HashChainState, payload: bytes) -> tuple[HashChainState, by
 
 
 def validate_fragment(
-    state: HashChainState, payload: bytes, received_tag: bytes
+    state: HashChainState, payload: bytes, received_tag: bytes, links: ChainLinks | None = None
 ) -> tuple[bool, HashChainState]:
     """Check one fragment against the chain.
 
     Returns (valid, state).  The state advances only when the tag
     matches; comparison is constant-time.
     """
-    advanced, expected = next_hash(state, payload)
-    if hmac.compare_digest(expected, received_tag):
+    key, prev = state
+    found = links.get((prev, payload)) if links is not None and links.key == key else None
+    advanced = found or HashChainState(key, _digest(key, prev + payload))
+    if hmac.compare_digest(advanced.prev_hash[:TAG_LEN], received_tag):
         return True, advanced
     return False, state
 
 
 def sign_fragments(
-    key: bytes, fragments: list[Fragment], nonce: bytes, trust_byte: int = 255
+    key: bytes, fragments: list[Fragment], nonce: bytes, trust_byte: int = 255,
+    links: ChainLinks | None = None,
 ) -> list[Fragment]:
     """Stamp extension fields onto a fragment train, in place.
 
     The first fragment carries the nonce and the truncated seed digest;
     each later fragment carries its chained tag.  Fragments must be in
     offset order and carry zero-filled extensions from fragment_packet.
+    Each link's chain state also goes into links, if given, which must be for key.
     """
     if not fragments or fragments[0].header.kind is not FRAG1:
         raise ValueError("fragment train must start with a Frag1")
     if not key:
         raise EmptyKey("chain key must be non-empty")
+    if links is not None and links.key != key:
+        raise ValueError("links were made for another key")
     first = fragments[0]
     digest = _digest(key, first.payload + nonce)
+    if links is not None:
+        links[first.payload, nonce] = HashChainState(key, digest)
     first.header = replace_ext(first.header, ExtensionFields(trust_byte, nonce, digest[:TAG_LEN]))
     for frag in fragments[1:]:
-        digest = _digest(key, digest + frag.payload)
+        prev, digest = digest, _digest(key, digest + frag.payload)
+        if links is not None:
+            links[prev, frag.payload] = HashChainState(key, digest)
         frag.header = replace_ext(frag.header, ExtensionFields(trust_byte, b"", digest[:TAG_LEN]))
     return fragments
 

@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .frag_codec import FRAG1, KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
-from .hash_chain import HashChainState, seed_chain, validate_fragment
+from .hash_chain import ChainLinks, HashChainState, seed_chain, validate_fragment
 from .trust_engine import TrustEngine, TrustParams
 
 # CPU milliseconds charged per keyed-hash operation (seed or verify).
@@ -245,6 +245,8 @@ class ReceiverStack:
     SIGNER: str | None = None
     ledger: ReplayLedger | None = None
     trust_history: list[tuple[float, int, float]] | None = None
+    # chain links the senders already hashed, looked up before hashing again
+    links: ChainLinks | None = None
 
     def __init__(self, slots: int = 2, timeout: float = 10.0):
         self.buffer = ReassemblyBuffer(slots, timeout)
@@ -356,7 +358,7 @@ class ReceiverStack:
             chain = session.chain
             if chain is not None:
                 cpu += HASH_CPU_MS
-                ok, chain = validate_fragment(chain, payload, signature or b"")
+                ok, chain = validate_fragment(chain, payload, signature or b"", self.links)
                 if not ok:
                     self._rejected(src, now, True)
                     return _dropped(DropReason.BAD_SIGNATURE, cpu)
@@ -530,7 +532,7 @@ class PredictiveCsmStack(ReceiverStack):
         return False
 
     def _seed(self, payload: bytes, nonce: bytes) -> HashChainState:
-        return seed_chain(self.key, payload, nonce)
+        return seed_chain(self.key, payload, nonce, self.links)
 
     def _rejected(self, source: int, now: float, bad_chain: bool) -> None:
         state = self.engine.penalize(source, now)

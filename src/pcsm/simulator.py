@@ -18,7 +18,10 @@ meaningful, and it splits a run in three:
   corruption fates, and each legit fragment that reaches the root.  It
   depends on the seed and the traffic world (the world below without
   the attack), and it is itself the plan of that world with no
-  adversary.  It signs the legit fragments lazily, once per wire format.
+  adversary.  It signs the legit fragments lazily, once per wire format,
+  and the chain signer keeps every link it hashes (hash_chain.ChainLinks):
+  so a traffic's chain links are hashed once, by its senders, and every
+  pcsm run over it looks them up instead of hashing them again.
 - Plan (plan_arrivals): a traffic plus the adversary schedule with its
   channel fates, the sent counts, and every frame that reaches the
   root, stable-sorted by arrival time (legitimate fragments before
@@ -87,7 +90,7 @@ from .frag_codec import (
     fragment_packet,
     header_length,
 )
-from .hash_chain import seed_chain, sign_fragments
+from .hash_chain import ChainLinks, seed_chain, sign_fragments
 from .reassembly import HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
 
 PROPAGATION_DELAY = 0.001
@@ -282,6 +285,8 @@ class _Wire(NamedTuple):
     # per non-root node, summed in emission order as the senders spend them
     cpu_ms: dict[int, float]
     tx_s: dict[int, float]
+    # the chain signer's links (hash_chain.ChainLinks), shared with every run's receiver
+    links: ChainLinks | None
 
 
 class ArrivalPlan(NamedTuple):
@@ -361,11 +366,12 @@ class ArrivalPlan(NamedTuple):
 _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
 
 
-def signed_fragments(key: bytes, send: ScheduledSend, signer: str | None) -> list[Fragment]:
-    """One send's fragments as its sender puts them on the air under signer."""
+def signed_fragments(key: bytes, send: ScheduledSend, signer: str | None,
+                     links: ChainLinks | None = None) -> list[Fragment]:
+    """One send's fragments as its sender puts them on the air; a chain signer fills links."""
     frags = fragment_packet(send.payload, send.tag, with_extension=signer is not None)
     if signer == "chain":
-        sign_fragments(key, frags, send.nonce)
+        sign_fragments(key, frags, send.nonce, links=links)
     elif signer == "mac":
         mac_sign_fragments(key, frags, send.nonce, send.source)
     return frags
@@ -381,19 +387,20 @@ def _build_wire(plan: ArrivalPlan, signer: str | None) -> _Wire:
             tx += airtime(header_lens[code] + n)
         legit = plan.traffic.wire(signer)
         return _Wire(legit.fragments, {**legit.cpu_ms, plan.attacker: 0.0},
-                     {**legit.tx_s, plan.attacker: tx})
+                     {**legit.tx_s, plan.attacker: tx}, legit.links)
     sign_cpu_ms = _SIGN_CPU_MS[signer]
     fragments: list[Fragment] = []
     cpu_ms = dict.fromkeys(plan.sent_fragments, 0.0)
     tx_s = dict(cpu_ms)
+    links = ChainLinks(plan.key) if signer == "chain" else None
     for send in plan.sends:
-        frags = signed_fragments(plan.key, send, signer)
+        frags = signed_fragments(plan.key, send, signer, links)
         src = send.source
         for frag in frags:
             tx_s[src] += airtime(header_length(frag.header.kind, with_ext) + len(frag.payload))
             cpu_ms[src] += sign_cpu_ms
         fragments += frags
-    return _Wire(fragments, cpu_ms, tx_s)
+    return _Wire(fragments, cpu_ms, tx_s, links)
 
 
 def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
@@ -505,6 +512,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     stack = STACKS[cfg.stack].from_config(cfg, trace)
     with_ext = stack.SIGNER is not None
     wire = plan.wire(stack.SIGNER)
+    stack.links = wire.links
 
     attacker = plan.attacker
     ledgers = {ROOT: EnergyLedger()}

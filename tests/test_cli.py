@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pcsm import cli
 from pcsm.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -100,6 +101,15 @@ def test_invalid_trust_threshold_exits_2_with_field_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "trust.theta" in err
+
+
+def test_config_that_plans_too_many_arrivals_exits_2_before_any_run(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.setattr(cli, "legit_traffic", None)  # a run would call it and fail
+    bad = _write_yaml(tmp_path / "huge.yaml", "stack: pcsm\nduration: 1.0e+12\n")
+    rc = main(["run", bad, "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: duration: plans about 2.67e+11")
 
 
 @pytest.mark.parametrize(

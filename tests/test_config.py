@@ -7,14 +7,17 @@ import yaml
 
 from pcsm import baselines
 from pcsm.config import (
+    MAX_PLANNED_ARRIVALS,
     SENSITIVITY_LAMBDAS,
     SENSITIVITY_THETAS,
     STACKS,
     ConfigInvalid,
     load_config,
     parse_config,
+    planned_arrivals,
 )
 from pcsm.reassembly import PredictiveCsmStack
+from pcsm.simulator import plan_arrivals
 
 REPO = Path(__file__).resolve().parents[1]
 README = REPO / "README.md"
@@ -253,3 +256,47 @@ def test_bundled_configs_parse_equal_under_both_loaders(path):
 def test_sensitivity_grid_constants():
     assert SENSITIVITY_LAMBDAS == (0.7, 0.8, 0.9, 0.95)
     assert SENSITIVITY_THETAS == (0.2, 0.3, 0.4)
+
+
+# Each plans far more arrivals than a run may hold; they are parsed here, never run.
+_OVERSIZED = [
+    ({"duration": 1e12}, "duration"),
+    ({"senders": 10**9}, "senders"),
+    ({"senders": 10**6}, "senders"),
+    ({"traffic": {"send_interval": 1e-9}}, "traffic.send_interval"),
+    ({"duration": 1e7, "traffic": {"payload_bytes": 2047}}, "duration"),
+    ({"attack": {"kind": "burst_injection", "burst_rate": 1e9}}, "attack.burst_rate"),
+    ({"attack": {"kind": "burst_injection", "start": 0.0, "burst_rate": 1e5}},
+     "attack.burst_rate"),
+    ({"attack": {"kind": "burst_injection", "warmup_interval": 1e-5}}, "attack.warmup_interval"),
+    ({"attack": {"kind": "early_frag1", "salvo_size": 10**6}}, "attack.salvo_size"),
+    ({"attack": {"kind": "complete_flooding", "flood_interval": 1e-4}}, "attack.flood_interval"),
+    ({"attack": {"kind": "header_replay", "replay_interval": 1e-5}}, "attack.replay_interval"),
+    ({"attack": {"kind": "late_phase", "late_orphans": 10**6}}, "attack.late_orphans"),
+    ({"attack": {"kind": "late_phase", "late_orphans": 10**9}}, "attack.late_orphans"),
+    ({"duration": 1e12, "attack": {"kind": "burst_injection"}}, "duration"),
+]
+
+
+@pytest.mark.parametrize("data,wanted_field", _OVERSIZED,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_configs_that_plan_too_many_arrivals_are_invalid(data, wanted_field):
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config({"name": "huge", "stack": "pcsm", **data})
+    assert err.value.field == wanted_field
+    assert "arrivals" in str(err.value) or f"<= {MAX_PLANNED_ARRIVALS}" in str(err.value)
+
+
+def test_a_plan_just_under_the_cap_is_accepted():
+    cfg = parse_config({"name": "x", "stack": "pcsm",
+                        "attack": {"kind": "burst_injection", "burst_rate": 11000.0}})
+    assert 0.99 * MAX_PLANNED_ARRIVALS < planned_arrivals(cfg) <= MAX_PLANNED_ARRIVALS
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("configs/**/*.yaml")), ids=lambda p: p.stem)
+def test_planned_arrivals_bound_the_frames_a_plan_builds(path):
+    cfg = load_config(path)
+    plan = plan_arrivals(cfg, 1)
+    # every legit fragment, lost or not, and every emission of the schedule
+    built = sum(len(send.lost) for send in plan.sends) + len(plan.attack or ())
+    assert built <= planned_arrivals(cfg) <= 2 * built + cfg.senders * 3

@@ -23,11 +23,9 @@ from pcsm.frag_codec import (
     Truncated,
     decode_base_header,
     decode_header,
-    dequantize_trust,
     encode_header,
     fragment_packet,
     header_length,
-    quantize_trust,
 )
 from pcsm.hash_chain import HashChainState
 from pcsm.trust_engine import BehaviorObservation
@@ -205,14 +203,6 @@ def test_slicing_coverage_random_sizes():
                     else f.header.ext.nonce == b""
                 )
                 assert ext_ok
-
-
-def test_trust_quantization():
-    assert quantize_trust(0.0) == 0
-    assert quantize_trust(1.0) == 255
-    assert quantize_trust(0.5) == 128
-    for byte_value in (0, 1, 127, 255):
-        assert quantize_trust(dequantize_trust(byte_value)) == byte_value
 
 
 def test_fragment_defaults():

@@ -15,8 +15,10 @@ from pcsm.frag_codec import (
     FragmentKind,
     fragment_packet,
 )
+from pcsm import hash_chain
 from pcsm.hash_chain import (
     TAG_LEN,
+    ChainLinks,
     EmptyKey,
     HashChainState,
     _digest,
@@ -262,3 +264,96 @@ def test_keyed_digest_equals_the_one_shot_hmac():
         for key in keys:  # alternating keys, so each call meets another key's state first
             want = hmac.new(key, msg, "sha1").digest()
             assert _digest(key, msg) == want == _ref_hmac_sha1(key, msg)
+
+
+KEY, OTHER_KEY = b"shared-group-key", b"another-key"
+
+
+def _signed(key, payload, nonce, links=None):
+    frags = sign_fragments(key, fragment_packet(payload, 7, True), nonce, links=links)
+    return [f.payload for f in frags], [f.header.ext.signature for f in frags]
+
+
+def _receive(key, nonce, payloads, tags, links=None):
+    """Each fragment's (valid, chain digest after it): seeded from the first, then validated."""
+    state = seed_chain(key, payloads[0], nonce, links)
+    out = [(chain_tag(state) == tags[0], state.prev_hash)]
+    for payload, tag in zip(payloads[1:], tags[1:]):
+        ok, state = validate_fragment(state, payload, tag, links)
+        out.append((ok, state.prev_hash))
+    return out
+
+
+def _corrupt(payload):
+    return payload[:-1] + bytes([payload[-1] ^ 0x55])
+
+
+# what reaches the receiver, from the signed (payloads, tags, nonce): key, nonce, payloads, tags
+_ARRIVALS = {
+    "intact": lambda p, t, n: (KEY, n, p, t),
+    "wrong_middle_tag": lambda p, t, n: (KEY, n, p, t[:1] + [bytes(TAG_LEN)] + t[2:]),
+    "wrong_last_tag": lambda p, t, n: (KEY, n, p, t[:-1] + [bytes(TAG_LEN)]),
+    "corrupt_first": lambda p, t, n: (KEY, n, [_corrupt(p[0])] + p[1:], t),
+    "corrupt_last": lambda p, t, n: (KEY, n, p[:-1] + [_corrupt(p[-1])], t),
+    "other_nonce": lambda p, t, n: (KEY, bytes(4), p, t),
+    "reordered": lambda p, t, n: (KEY, n, p[:1] + p[1:][::-1], t[:1] + t[1:][::-1]),
+    "receiver_key_differs": lambda p, t, n: (OTHER_KEY, n, p, t),
+}
+# 1 byte and 96 are one Frag1 (the seed alone), 97 two fragments, 400 five
+_PAYLOAD_LENGTHS = (1, 96, 97, 400)
+
+
+@pytest.mark.parametrize("length", _PAYLOAD_LENGTHS)
+@pytest.mark.parametrize("arrival", sorted(_ARRIVALS))
+def test_receiving_with_chain_links_equals_hashing_every_link(arrival, length, monkeypatch):
+    rng = random.Random(length)
+    payload, nonce = rng.randbytes(length), rng.randbytes(4)
+    links = ChainLinks(KEY)
+    payloads, tags = _signed(KEY, payload, nonce, links)
+    signed = dict(links)
+    received = _ARRIVALS[arrival](payloads, tags, nonce)
+    want = _receive(*received)
+    hashed = []
+    digest = hash_chain._digest
+    monkeypatch.setattr(hash_chain, "_digest", lambda key, data: hashed.append(data) or
+                        digest(key, data))
+    assert _receive(*received, links) == want
+    # a miss is hashed and never added; a hit is not hashed again
+    assert links == signed
+    if arrival == "intact":
+        assert hashed == [] and all(ok for ok, _ in want)
+    # a wrong tag leaves the chain where it was, with or without links
+    for (ok, after), (_, before) in zip(want[1:], want):
+        assert ok or after == before
+
+
+@pytest.mark.parametrize("length", _PAYLOAD_LENGTHS)
+def test_links_signed_under_another_key_are_never_used(length):
+    rng = random.Random(length)
+    payload, nonce = rng.randbytes(length), rng.randbytes(4)
+    # the same train signed under another key: every (head, tail) of KEY's chain is in there
+    other = ChainLinks(OTHER_KEY)
+    _signed(OTHER_KEY, payload, nonce, other)
+    payloads, tags = _signed(KEY, payload, nonce)
+    got = _receive(KEY, nonce, payloads, tags, other)
+    assert got == _receive(KEY, nonce, payloads, tags)
+    assert all(ok for ok, _ in got)
+    with pytest.raises(ValueError, match="another key"):
+        _signed(KEY, payload, nonce, other)
+
+
+def test_chain_links_hold_each_chain_state_the_signer_reached():
+    rng = random.Random(5)
+    links = ChainLinks(KEY)
+    trains = [(rng.randbytes(rng.randrange(1, 500)), rng.randbytes(4)) for _ in range(20)]
+    n = 0
+    for payload, nonce in trains:
+        payloads, _ = _signed(KEY, payload, nonce, links)
+        n += len(payloads)
+        state = links[payloads[0], nonce]
+        assert state == HashChainState(KEY, _ref_hmac_sha1(KEY, payloads[0] + nonce))
+        for p in payloads[1:]:
+            want = HashChainState(KEY, _ref_hmac_sha1(KEY, state.prev_hash + p))
+            state = links[state.prev_hash, p]
+            assert state == want
+    assert len(links) == n

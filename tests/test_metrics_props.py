@@ -29,7 +29,7 @@ def _records(draw):
     return records
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(records=_records(),
        attacker=st.sampled_from([ATTACKER, None]),
        attack_start=st.sampled_from([None, -1.0, 0.0, 1.5, 2.5, 5.0, 6.0]))

@@ -6,11 +6,12 @@ import itertools
 import json
 import pathlib
 import random
+import weakref
 from array import array
 
 import pytest
 
-from pcsm import baselines, cli, simulator
+from pcsm import baselines, cli, hash_chain, simulator
 from pcsm.attacks import ATTACK_KINDS, AttackSchedule
 from pcsm.baselines import fragment_mac
 from pcsm.cli import _trace_lines
@@ -24,7 +25,7 @@ from pcsm.frag_codec import (
     FragmentKind,
     encode_header,
 )
-from pcsm.hash_chain import chain_tag, seed_chain
+from pcsm.hash_chain import ChainLinks, chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
 from pcsm.reassembly import PredictiveCsmStack, ReassemblySession
 from pcsm.simulator import (
@@ -187,8 +188,15 @@ def test_largest_accepted_attack_datagrams_run_on_every_stack(stack):
 @pytest.mark.parametrize("stack", STACKS)
 @pytest.mark.parametrize(
     "edge",
-    [{"duration": 0}, {"buffer": {"slots": 1}}, {"traffic": {"payload_bytes": 2047}}],
-    ids=["no_time", "one_slot", "largest_datagram"],
+    [{"duration": 0}, {"buffer": {"slots": 1}}, {"traffic": {"payload_bytes": 2047}},
+     # one byte is one first fragment: a chain with no link, only its seed
+     {"traffic": {"payload_bytes": 1}}, {"channel": {"loss_rate": 1.0}},
+     # every legit payload corrupted: each chain lookup misses and is hashed
+     {"channel": {"corruption_rate": 1.0}}, {"senders": 1},
+     {"attack": {"kind": "burst_injection", "start": 0.0}},
+     {"attack": {"kind": "burst_injection", "start": 300.0, "attacker": 2**31 - 1}}],
+    ids=["no_time", "one_slot", "largest_datagram", "one_byte_datagram", "all_lost",
+         "all_corrupt", "one_sender", "attack_from_the_start", "largest_attacker"],
 )
 def test_edge_configs_run_on_every_stack(stack, edge):
     data = {"stack": stack, "duration": 600.0,
@@ -735,3 +743,65 @@ def test_sweep_shares_legit_traffic_only_within_a_traffic_world(change, monkeypa
     assert kept == [[("sim", 1), ("sim", 2)], [("same", 1), ("same", 2)],
                     [("other", 1), ("other", 2)]]
     assert built == [("sim", 1), ("other", 1), ("sim", 2), ("other", 2)]
+
+
+def _no_links(self, key, default=None):
+    return default
+
+
+@pytest.mark.parametrize("corruption", [0.0, 1.0])
+@pytest.mark.parametrize("kind", ("none",) + ATTACK_KINDS)
+def test_runs_over_shared_chain_links_equal_runs_that_hash_every_link(kind, corruption,
+                                                                     monkeypatch):
+    hashed = []
+    digest = hash_chain._digest
+    monkeypatch.setattr(hash_chain, "_digest",
+                        lambda key, data: hashed.append(data) or digest(key, data))
+    for seed in (1, 2):
+        plan = None
+        for stack in STACKS:
+            cfg = load_config(REPO / f"configs/{stack}-{kind}.yaml")
+            cfg = dataclasses.replace(
+                cfg, channel=dataclasses.replace(cfg.channel, corruption_rate=corruption))
+            plan = plan or plan_arrivals(cfg, seed)
+            plan.wire("chain")  # signed before either run, so neither counts the signing
+            hashed.clear()
+            got = _run_and_stores(cfg, seed, plan, monkeypatch)
+            shared = len(hashed)
+            with monkeypatch.context() as m:
+                m.setattr(ChainLinks, "get", _no_links)
+                hashed.clear()
+                want = _run_and_stores(cfg, seed, plan, monkeypatch)
+            assert got == want
+            if stack != "pcsm":
+                assert shared == len(hashed) == 0
+            elif corruption:
+                assert shared == len(hashed) > 0  # every legit payload misses
+            else:
+                assert shared < len(hashed)
+
+
+def test_chain_links_hold_each_signed_fragment_and_go_with_their_traffic(monkeypatch):
+    cfgs = [load_config(REPO / f"configs/{stack}-burst_injection.yaml") for stack in STACKS]
+    tables = []
+    run = cli.simulate
+
+    def spy(cfg, seed, trace=False, plan=None):
+        traffic = plan.traffic or plan
+        links = plan.wire("chain").links
+        assert links is traffic.wire("chain").links
+        assert len(links) == len(traffic.wire("chain").fragments) == sum(
+            len(send.lost) for send in traffic.sends)
+        tables.append(weakref.ref(links))
+        return run(cfg, seed, trace=trace, plan=plan)
+
+    def traffic(cfg, seed):
+        # the traffic of the seed before is gone by now, and its table with it
+        assert all(table() is None for table in tables)
+        return legit_traffic(cfg, seed)
+
+    monkeypatch.setattr(cli, "simulate", spy)
+    monkeypatch.setattr(cli, "legit_traffic", traffic)
+    cli._sweep(cfgs, [1, 2])
+    assert len(tables) == 8
+    assert all(table() is None for table in tables)
