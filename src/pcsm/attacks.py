@@ -1,45 +1,42 @@
 """Adversary traffic generators.
 
-Five repertoires against the reassembly buffer, each produced as a
-time-sorted AttackSchedule.  An emission is a wire recipe, not a
-finished frame: the simulator materializes it with the extension
-layout of whichever stack variant is under test, consuming no extra
-randomness, so one seed yields an identical adversary schedule against
-every stack.
+Five repertoires against the reassembly buffer, one entry each in KINDS
+under its config name.  An entry holds all that sets a kind apart: its
+emit function, whether a warmup from the attacker's own identity comes
+first, its planned-emission estimate and its config check.  build_attack
+does the rest once: the tag counter, the warmup, the sort and the cut.
+
+An emission is a wire recipe, not a finished frame: the simulator
+materializes it with the extension layout of whichever stack variant
+is under test, consuming no extra randomness, so one seed yields an
+identical adversary schedule against every stack.
 
 A schedule keeps its emissions as columns: times, kinds, sources,
-sizes, tags, offsets and replay victims in arrays, and the payload,
-nonce and signature bytes as slices of one blob that holds the
-builder's random draws in call order.  That is the only form an
-emission takes: the simulator builds an admitted frame's fragment
-straight from its row.
+sizes, tags, offsets and victims in arrays, and the payload, nonce and
+signature bytes as slices of one blob that holds the builder's random
+draws in call order.  That is the only form an emission takes: the
+simulator builds an admitted frame's fragment straight from its row.
 
-Attacks that rely on the adversary's own radio identity (everything
-except header replay) are preceded by a low-rate warmup phase of
-innocuous single-fragment datagrams, which builds a normal-looking
-behavioral record before the attack turns on.  The header replay
-builder instead captures recent first-fragment headers it observed
-arriving at the root and re-emits them byte-exactly with fresh bogus
-payloads; the schedule names the send each header came from.
+The warmup is a low-rate phase of innocuous single-fragment datagrams,
+which builds a normal-looking behavioral record before the attack turns
+on.  Header replay has none: it re-emits first-fragment headers it saw
+arrive at the root, byte-exactly, with fresh bogus payloads.  A victim
+is the legit fragment an emission copies, by its index among the
+traffic's legit fragments (each send's, in send order, as
+fragment_packet slices them): for a header replay, a send's first.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from operator import le
+from typing import NamedTuple
 
 from .frag_codec import MAX_FRAGMENT_PAYLOAD
-
-ATTACK_KINDS = (
-    "early_frag1",
-    "complete_flooding",
-    "header_replay",
-    "burst_injection",
-    "late_phase",
-)
 
 # tag range reserved for forged traffic so it never collides with the
 # attacker's own warmup datagrams
@@ -145,7 +142,7 @@ class AttackSchedule:
         self.payload_len = array("i")
         self.nonce_at = array("i")
         self.sig_at = array("i")
-        # the legit send a header replay copies, or -1
+        # the legit fragment an emission copies (see the module docstring), or -1
         self.victims = array("i")
         self.blob = bytearray()
         self._rng = rng
@@ -226,26 +223,17 @@ def _forged_frag1s(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter, tim
     return out
 
 
-def build_early_frag1(spec, legit_sends, duration, rng) -> AttackSchedule:
+def _emit_early_frag1(spec, legit_sends, duration, out, tags) -> None:
     """Salvo of forged buffer reservations just ahead of each victim transmission."""
-    tags = _TagCounter()
-    out = AttackSchedule(rng)
-    _warmup_emissions(spec, out, tags, duration)
     for send in legit_sends:
-        if send.time < spec.start or send.time >= duration:
-            continue
-        t0 = send.time - spec.early_lead
-        _forged_frag1s(
-            spec, out, tags, [t0 + k * spec.salvo_spacing for k in range(spec.salvo_size)]
-        )
-    return out.sort()
+        if spec.start <= send.time < duration:
+            t0 = send.time - spec.early_lead
+            _forged_frag1s(spec, out, tags,
+                           [t0 + k * spec.salvo_spacing for k in range(spec.salvo_size)])
 
 
-def build_complete_flooding(spec, legit_sends, duration, rng) -> AttackSchedule:
+def _emit_complete_flooding(spec, legit_sends, duration, out, tags) -> None:
     """Full well-formed fragment trains with garbage payloads and signatures."""
-    tags = _TagCounter()
-    out = AttackSchedule(rng)
-    _warmup_emissions(spec, out, tags, duration)
     size = spec.flood_bytes
     t = spec.start
     while t < duration:
@@ -259,79 +247,104 @@ def build_complete_flooding(spec, legit_sends, duration, rng) -> AttackSchedule:
                     body_at + j, min(MAX_FRAGMENT_PAYLOAD, size - j),
                     nonce_at if first else -1, out.draw(8))
         t += spec.flood_interval
-    return out.sort()
 
 
-def build_header_replay(spec, legit_sends, duration, rng) -> AttackSchedule:
+def _emit_header_replay(spec, legit_sends, duration, out, tags) -> None:
     """Byte-exact re-emission of recently observed first-fragment headers.
 
     The adversary sniffs next to the root, so only headers whose first
-    fragment actually arrived there enter the capture pool.  Each
-    replay pairs the stolen header with a fresh bogus payload.
+    fragment actually arrived there enter the capture pool: the last
+    replay_pool of them sent before the replay, a window that moves along
+    the time-sorted sends.  Each replay pairs the stolen header with a
+    fresh bogus payload.
     """
-    observed = [i for i, s in enumerate(legit_sends) if not (s.lost and s.lost[0])]
-    out = AttackSchedule(rng)
+    observed = []  # (first-fragment index, send) per send whose first fragment arrived
+    first = 0
+    for send in legit_sends:
+        if not (send.lost and send.lost[0]):
+            observed.append((first, send))
+        first += -(-len(send.payload) // MAX_FRAGMENT_PAYLOAD)  # the send's fragments
+    seen = n = 0
     t = spec.start
-    n = 0
     while t < duration:
-        pool = [i for i in observed if legit_sends[i].time < t][-spec.replay_pool:]
+        while seen < len(observed) and observed[seen][1].time < t:
+            seen += 1
+        pool = min(seen, spec.replay_pool)
         if pool:
-            index = pool[n % len(pool)]
-            victim = legit_sends[index]
-            size = len(victim.payload)
+            victim, send = observed[seen - pool + n % pool]
+            size = len(send.payload)
             payload_len = min(MAX_FRAGMENT_PAYLOAD, size)
-            out.add(t, _FRAG1, victim.source, size, victim.tag, 0,
-                    out.draw(payload_len), payload_len, victim=index)
+            out.add(t, _FRAG1, send.source, size, send.tag, 0,
+                    out.draw(payload_len), payload_len, victim=victim)
             n += 1
         t += spec.replay_interval
-    return out
 
 
-def build_burst_injection(spec, legit_sends, duration, rng) -> AttackSchedule:
+def _emit_burst_injection(spec, legit_sends, duration, out, tags) -> None:
     """Sustained stream of forged reservations at a fixed rate."""
-    tags = _TagCounter()
-    out = AttackSchedule(rng)
-    _warmup_emissions(spec, out, tags, duration)
-    times = []
-    n = 0
-    while True:
-        t = spec.start + n / spec.burst_rate
-        if t >= duration:
-            break
+    times, n = [], 0
+    while (t := spec.start + n / spec.burst_rate) < duration:
         times.append(t)
         n += 1
-    return _forged_frag1s(spec, out, tags, times)
+    _forged_frag1s(spec, out, tags, times)
 
 
-def build_late_phase(spec, legit_sends, duration, rng) -> AttackSchedule:
+def _emit_late_phase(spec, legit_sends, duration, out, tags) -> None:
     """Bursts of orphan continuation fragments trailing each victim send."""
-    tags = _TagCounter()
-    out = AttackSchedule(rng)
-    _warmup_emissions(spec, out, tags, duration)
     for send in legit_sends:
-        if send.time < spec.start or send.time >= duration:
-            continue
-        for j, tag in enumerate(tags.take_n(spec.late_orphans)):
-            at = out.draw(MAX_FRAGMENT_PAYLOAD)
-            out.add(send.time + spec.late_lag + j * spec.late_spacing, _FRAGN,
-                    spec.attacker, spec.forged_size, tag, MAX_FRAGMENT_PAYLOAD // 8,
-                    at, MAX_FRAGMENT_PAYLOAD, -1, out.draw(8))
-    return out.sort()
+        if spec.start <= send.time < duration:
+            for j, tag in enumerate(tags.take_n(spec.late_orphans)):
+                at = out.draw(MAX_FRAGMENT_PAYLOAD)
+                out.add(send.time + spec.late_lag + j * spec.late_spacing, _FRAGN,
+                        spec.attacker, spec.forged_size, tag, MAX_FRAGMENT_PAYLOAD // 8,
+                        at, MAX_FRAGMENT_PAYLOAD, -1, out.draw(8))
 
 
-BUILDERS = {
-    "early_frag1": build_early_frag1,
-    "complete_flooding": build_complete_flooding,
-    "header_replay": build_header_replay,
-    "burst_injection": build_burst_injection,
-    "late_phase": build_late_phase,
+def _check_late_phase(spec):
+    # every orphan sits at offset MAX_FRAGMENT_PAYLOAD, which must fall inside the datagram
+    if spec.forged_size <= MAX_FRAGMENT_PAYLOAD:
+        return "forged_size", f"must be > {MAX_FRAGMENT_PAYLOAD} for late_phase"
+    return None
+
+
+class AttackKind(NamedTuple):
+    """What sets one attack kind apart from the others."""
+
+    # emit(spec, legit_sends, duration, out, tags): add the kind's emissions to
+    # the AttackSchedule out, in any order, taking forged tags from tags
+    emit: Callable
+    # whether a warmup from the attacker's own identity comes first
+    warmup: bool
+    # planned(spec, sends, window): at least the emissions past the warmup, given
+    # the legit sends planned and the attack window (see config.planned_arrivals)
+    planned: Callable
+    # check(spec): None, or (field, problem) for a spec the kind cannot build
+    check: Callable = lambda spec: None
+
+
+KINDS = {
+    "early_frag1": AttackKind(_emit_early_frag1, True,
+                              lambda a, sends, _: sends * a.salvo_size),
+    "complete_flooding": AttackKind(_emit_complete_flooding, True, lambda a, _, window: (
+        window / a.flood_interval + 1) * -(-a.flood_bytes // MAX_FRAGMENT_PAYLOAD)),
+    "header_replay": AttackKind(_emit_header_replay, False,
+                                lambda a, _, window: window / a.replay_interval + 1),
+    "burst_injection": AttackKind(_emit_burst_injection, True,
+                                  lambda a, _, window: window * a.burst_rate + 1),
+    "late_phase": AttackKind(_emit_late_phase, True,
+                             lambda a, sends, _: sends * a.late_orphans, _check_late_phase),
 }
+ATTACK_KINDS = tuple(KINDS)
 
 
 def build_attack(spec: AttackSpec, legit_sends, duration: float, rng) -> AttackSchedule:
-    """Dispatch to the builder for spec.kind; emissions at or past duration are dropped."""
+    """spec's schedule against the time-sorted legit_sends, cut at duration."""
     try:
-        builder = BUILDERS[spec.kind]
+        kind = KINDS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown attack kind: {spec.kind!r}") from None
-    return builder(spec, legit_sends, duration, rng).cut(duration)
+    out, tags = AttackSchedule(rng), _TagCounter()
+    if kind.warmup:
+        _warmup_emissions(spec, out, tags, duration)
+    kind.emit(spec, legit_sends, duration, out, tags)
+    return out.sort().cut(duration)

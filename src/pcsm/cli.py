@@ -189,10 +189,7 @@ def _write_grid(out: Path, stem: str, aggs: list[dict], rows: list[dict]) -> int
     return EXIT_OK
 
 
-def _scenario_key(kind: str) -> tuple:
-    if kind == "none":
-        return (0, "")
-    return (1 + ATTACK_KINDS.index(kind), kind)
+_scenario_key = (("none",) + ATTACK_KINDS).index  # a matrix row's place in the report
 
 
 def cmd_matrix(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 import yaml
 
 from . import baselines
-from .attacks import ATTACK_KINDS, AttackSpec
+from .attacks import KINDS, AttackSpec
 from .frag_codec import MAX_DATAGRAM_SIZE, MAX_FRAGMENT_PAYLOAD
 from .trust_engine import TrustParams
 
@@ -172,18 +172,14 @@ def _parse_attack(data, senders: int) -> AttackSpec | None:
     if kind in (None, "none"):
         _reject_unknown(section, "attack")
         return None
-    if kind not in ATTACK_KINDS:
-        raise ConfigInvalid(
-            "attack.kind", f"must be one of none, {', '.join(ATTACK_KINDS)}"
-        )
+    if kind not in KINDS:
+        raise ConfigInvalid("attack.kind", f"must be one of none, {', '.join(KINDS)}")
     # the attacker takes the first id past the senders unless told otherwise
     section.setdefault("attacker", senders + 1)
     spec = _parse_section(AttackSpec, section, "attack", kind=kind)
-    if kind == "late_phase" and spec.forged_size <= MAX_FRAGMENT_PAYLOAD:
-        # every orphan sits at offset MAX_FRAGMENT_PAYLOAD, which must fall inside the datagram
-        raise ConfigInvalid(
-            "attack.forged_size", f"must be > {MAX_FRAGMENT_PAYLOAD} for late_phase"
-        )
+    problem = KINDS[kind].check(spec)  # None, or (field, problem)
+    if problem:
+        raise ConfigInvalid("attack." + problem[0], problem[1])
     return spec
 
 
@@ -201,16 +197,11 @@ def planned_arrivals(cfg: ScenarioConfig) -> float:
     legit = sends * -(-tr.payload_bytes // MAX_FRAGMENT_PAYLOAD)
     if a is None:
         return legit
-    window = max(cfg.duration - a.start, 0.0)
-    warmup = max(min(a.start, cfg.duration) - a.warmup_start, 0.0) / a.warmup_interval + 1
-    return legit + {
-        "early_frag1": warmup + sends * a.salvo_size,
-        "complete_flooding": warmup + (window / a.flood_interval + 1)
-        * -(-a.flood_bytes // MAX_FRAGMENT_PAYLOAD),
-        "header_replay": window / a.replay_interval + 1,
-        "burst_injection": warmup + window * a.burst_rate + 1,
-        "late_phase": warmup + sends * a.late_orphans,
-    }[a.kind]
+    kind = KINDS[a.kind]
+    hostile = kind.planned(a, sends, max(cfg.duration - a.start, 0.0))
+    if kind.warmup:
+        hostile += max(min(a.start, cfg.duration) - a.warmup_start, 0.0) / a.warmup_interval + 1
+    return legit + hostile
 
 
 def _with_default(cfg: ScenarioConfig, path: str) -> ScenarioConfig:

@@ -305,8 +305,6 @@ class ArrivalPlan(NamedTuple):
     world: tuple
     key: bytes
     sends: list[ScheduledSend]
-    # index of each send's first fragment among the legit fragments
-    firsts: array
     attacker: int | None
     attack: AttackSchedule | None
     sent_datagrams: dict[int, int]
@@ -412,10 +410,8 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     sent_fragments = dict(sent_datagrams)
     times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
     legit_corrupt = bytearray()
-    firsts = array("i")
     pacing = cfg.traffic.pacing
     for send in sends:
-        firsts.append(len(legit_corrupt))
         src = send.source
         sent_datagrams[src] += 1
         sent_fragments[src] += len(send.lost)
@@ -429,7 +425,7 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
                 refs.append(len(legit_corrupt) - 1)
     columns = [times, sources, kinds, refs]
     sort_columns(columns)
-    return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, firsts, None, None,
+    return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, None, None,
                        sent_datagrams, sent_fragments, *columns, sources[:],
                        array("B", bytes(len(times))), legit_corrupt, bytearray(), None, {}, {})
 
@@ -471,7 +467,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
     # a schedule is time-sorted, and so is the traffic
     columns = _merge([traffic.times, traffic.sources, traffic.kinds, traffic.refs,
                       traffic.origins, traffic.codes], hostile)
-    return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, traffic.firsts, attacker,
+    return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, attacker,
                        attack, traffic.sent_datagrams, sent_fragments, *columns,
                        traffic.legit_corrupt, attack_corrupt, traffic, {}, {})
 
@@ -634,11 +630,11 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
 def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fragment]):
     """admit(k, record, now): adversary emission k, arrival record, through stack's gates.
 
-    Every emission goes to stack.admit_fields as its row and blob slices (a
-    header replay with its victim's signed nonce and signature, from legit
-    indexed by firsts) and becomes a Fragment only if a session stores it.
+    Every emission goes to stack.admit_fields as its row and blob slices (one
+    with a victim carries the signed nonce and signature of legit[victim])
+    and becomes a Fragment only if a session stores it.
     """
-    attack, firsts, corrupt = plan.attack, plan.firsts, plan.attack_corrupt
+    attack, corrupt = plan.attack, plan.attack_corrupt
     blob, victims, sources, kinds = attack.blob, attack.victims, attack.sources, attack.kinds
     sizes, tags, offsets = attack.sizes, attack.tags, attack.offsets
     payload_at, payload_len, nonce_at, sig_at = (
@@ -652,7 +648,7 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
             payload = _corrupt_payload(payload)
         nonce = signature = None
         if victims[k] >= 0:
-            ext = legit[firsts[victims[k]]].header.ext
+            ext = legit[victims[k]].header.ext
             if ext is not None:
                 nonce, signature = ext.nonce, ext.signature
         elif with_ext:

@@ -3,6 +3,7 @@
 import pathlib
 import random
 import time
+from itertools import accumulate
 from typing import NamedTuple
 
 import pytest
@@ -13,11 +14,6 @@ from pcsm.attacks import (
     AttackSpec,
     ScheduledSend,
     build_attack,
-    build_burst_injection,
-    build_complete_flooding,
-    build_early_frag1,
-    build_header_replay,
-    build_late_phase,
     _forged_frag1s,
     _TagCounter,
 )
@@ -29,6 +25,7 @@ from pcsm.frag_codec import (
     Fragment,
     FragmentHeader,
     FragmentKind,
+    fragment_packet,
 )
 from pcsm.simulator import _corrupt_payload, _emission_admitter, plan_arrivals
 
@@ -47,7 +44,7 @@ class AttackEmission(NamedTuple):
     payload: bytes = b""
     nonce: bytes = b""
     sig: bytes = bytes(8)
-    # a header replay's victim: the index of the legit send it copies; -1 otherwise
+    # a header replay's victim: the legit fragment it copies, the first of its send; else -1
     victim: int = -1
 
 
@@ -78,7 +75,7 @@ def _send(time, source, tag, payload=None, lost=()):
 
 def test_warmup_schedule_is_low_rate_single_fragment_mimicry():
     spec = AttackSpec("early_frag1")
-    ems = _rows(build_early_frag1(spec, [], 1800.0, random.Random(1)))
+    ems = _rows(build_attack(spec, [], 1800.0, random.Random(1)))
     # no victims past the start time, so only the warmup remains
     assert [e.time for e in ems] == [50.0 + 90.0 * k for k in range(10)]
     assert all(e.claimed_source == spec.attacker for e in ems)
@@ -91,7 +88,7 @@ def test_warmup_schedule_is_low_rate_single_fragment_mimicry():
 def test_early_salvo_lands_just_before_the_victim():
     spec = AttackSpec("early_frag1")
     victim = _send(1000.0, 3, 17)
-    ems = _rows(build_early_frag1(spec, [victim], 1800.0, random.Random(2)))
+    ems = _rows(build_attack(spec, [victim], 1800.0, random.Random(2)))
     salvo = [e for e in ems if e.time > 900.0]
     assert len(salvo) == spec.salvo_size == 12
     expected = [1000.0 - 0.005 + k * 0.0004 for k in range(12)]
@@ -105,14 +102,14 @@ def test_early_salvo_lands_just_before_the_victim():
 
 def test_early_salvo_skips_sends_before_attack_start():
     spec = AttackSpec("early_frag1")
-    ems = _rows(build_early_frag1(spec, [_send(800.0, 2, 5)], 1800.0, random.Random(3)))
+    ems = _rows(build_attack(spec, [_send(800.0, 2, 5)], 1800.0, random.Random(3)))
     assert all(e.time < 900.0 for e in ems)
     assert len(ems) == 10  # warmup only
 
 
 def test_flooding_emits_complete_wellformed_trains():
     spec = AttackSpec("complete_flooding")
-    ems = _rows(build_complete_flooding(spec, [], 910.0, random.Random(4)))
+    ems = _rows(build_attack(spec, [], 910.0, random.Random(4)))
     trains = [e for e in ems if e.time >= 900.0]
     # trains at 900.0, 901.5, ... 909.0: seven of them, ten fragments each
     assert len(trains) == 7 * 10
@@ -131,12 +128,13 @@ def test_flooding_emits_complete_wellformed_trains():
 def test_replay_reuses_observed_headers_with_fresh_payloads():
     sends = [_send(10.0 * (i + 1), i + 1, 100 + i) for i in range(5)]
     spec = AttackSpec("header_replay", start=55.0)
-    ems = _rows(build_header_replay(spec, sends, 70.0, random.Random(5)))
+    ems = _rows(build_attack(spec, sends, 70.0, random.Random(5)))
     assert [e.time for e in ems] == pytest.approx([55.0, 58.0, 61.0, 64.0, 67.0])
-    # capture pool holds the four most recent; the emission names its send
+    # capture pool holds the four most recent; the emission names its send's first
+    # fragment among the legit fragments, three per 288-byte send
     for i, e in enumerate(ems):
         victim = sends[1 + i % 4]
-        assert e.victim == 1 + i % 4
+        assert e.victim == 3 * (1 + i % 4)
         assert e.claimed_source == victim.source
         assert e.tag == victim.tag
         assert e.datagram_size == len(victim.payload)
@@ -150,7 +148,7 @@ def test_replay_pool_excludes_sends_lost_before_the_root():
     lost_first = _send(30.0, 3, 102, lost=(True, False, False))
     sends = [_send(10.0, 1, 100), _send(20.0, 2, 101), lost_first]
     spec = AttackSpec("header_replay", start=40.0, replay_pool=4)
-    ems = _rows(build_header_replay(spec, sends, 60.0, random.Random(6)))
+    ems = _rows(build_attack(spec, sends, 60.0, random.Random(6)))
     assert ems
     assert all(e.tag != 102 for e in ems)
 
@@ -158,12 +156,12 @@ def test_replay_pool_excludes_sends_lost_before_the_root():
 def test_replay_silent_when_nothing_was_observed():
     sends = [_send(10.0, 1, 100, lost=(True,))]
     spec = AttackSpec("header_replay", start=40.0)
-    assert len(build_header_replay(spec, sends, 60.0, random.Random(7))) == 0
+    assert len(build_attack(spec, sends, 60.0, random.Random(7))) == 0
 
 
 def test_burst_rate_of_six_gives_sixty_emissions_in_ten_seconds():
     spec = AttackSpec("burst_injection")
-    ems = _rows(build_burst_injection(spec, [], 910.0, random.Random(8)))
+    ems = _rows(build_attack(spec, [], 910.0, random.Random(8)))
     burst = [e for e in ems if e.time >= 900.0]
     assert len(burst) == 60
     assert burst[1].time - burst[0].time == pytest.approx(1 / 6)
@@ -175,7 +173,7 @@ def test_burst_rate_of_six_gives_sixty_emissions_in_ten_seconds():
 def test_late_phase_trails_each_victim_with_orphan_fragments():
     spec = AttackSpec("late_phase")
     victim = _send(1000.0, 5, 33)
-    ems = _rows(build_late_phase(spec, [victim], 1800.0, random.Random(9)))
+    ems = _rows(build_attack(spec, [victim], 1800.0, random.Random(9)))
     orphans = [e for e in ems if e.time > 900.0]
     assert len(orphans) == spec.late_orphans == 16
     assert [e.time for e in orphans] == pytest.approx(
@@ -192,7 +190,7 @@ def test_late_phase_trails_each_victim_with_orphan_fragments():
 def test_overlapping_late_bursts_stay_time_sorted():
     spec = AttackSpec("late_phase")
     sends = [_send(1000.0, 1, 1), _send(1001.4, 2, 2)]
-    ems = _rows(build_late_phase(spec, sends, 1800.0, random.Random(10)))
+    ems = _rows(build_attack(spec, sends, 1800.0, random.Random(10)))
     times = [e.time for e in ems]
     assert times == sorted(times)
 
@@ -249,8 +247,9 @@ def test_forged_tags_wrap_back_to_the_forged_range_like_take():
 
 
 # Reference builders: the per-emission implementation the columnar
-# schedule replaced, kept verbatim so the schedule can be checked against
-# it emission by emission, rng state included.
+# schedule replaced, kept as it was (but for the header replay's victim,
+# now its first-fragment index) so the schedule can be checked against it
+# emission by emission, rng state included.
 
 class _RefTagCounter:
     def __init__(self, base=0x8000):
@@ -332,18 +331,21 @@ def _ref_complete_flooding(spec, legit_sends, duration, rng):
 
 
 def _ref_header_replay(spec, legit_sends, duration, rng):
-    observed = [s for s in legit_sends if not (s.lost and s.lost[0])]
+    # each send's first fragment among the legit fragments, as its sender slices them
+    firsts = list(accumulate((len(fragment_packet(s.payload, s.tag, False)) for s in legit_sends),
+                             initial=0))
+    observed = [(i, s) for i, s in enumerate(legit_sends) if not (s.lost and s.lost[0])]
     out = []
     t = spec.start
     n = 0
     while t < duration:
-        pool = [s for s in observed if s.time < t][-spec.replay_pool:]
+        pool = [(i, s) for i, s in observed if s.time < t][-spec.replay_pool:]
         if pool:
-            victim = pool[n % len(pool)]
+            i, victim = pool[n % len(pool)]
             payload = rng.randbytes(min(MAX_FRAGMENT_PAYLOAD, len(victim.payload)))
             out.append(AttackEmission(
                 t, FragmentKind.FRAG1, victim.source, len(victim.payload), victim.tag, 0,
-                payload, b"", bytes(8), legit_sends.index(victim),
+                payload, b"", bytes(8), firsts[i],
             ))
             n += 1
         t += spec.replay_interval
@@ -422,6 +424,9 @@ _CASES = [
     # more than the 32,768 forged tags, so one counter wraps past 0xFFFF
     pytest.param(_BURST_WRAP, 400.0, id="burst_injection-tag-wrap"),
     pytest.param(_LATE_WRAP, 1800.0, id="late_phase-tag-wrap"),
+    # a capture pool that fills from empty, then moves with every send
+    pytest.param(AttackSpec("header_replay", start=850.0, replay_interval=0.05, replay_pool=3),
+                 1800.0, id="header_replay-window"),
 ]
 
 
@@ -442,10 +447,10 @@ def test_tag_wrap_cases_reach_the_wrap(spec, duration):
     assert 0xFFFF in tags and tags.count(0x8000) >= 2
 
 
-def _ref_materialize(em, with_ext, legit, firsts):
+def _ref_materialize(em, with_ext, legit):
     """The record-based frame builder the column reader replaced, victim branch included."""
     if em.victim >= 0:
-        return Fragment(legit[firsts[em.victim]].header, em.payload, em.claimed_source)
+        return Fragment(legit[em.victim].header, em.payload, em.claimed_source)
     ext = ExtensionFields(255, em.nonce, em.sig) if with_ext else None
     header = FragmentHeader(em.kind, em.datagram_size, em.tag, em.offset, ext)
     return Fragment(header, em.payload, source=em.claimed_source)
@@ -472,7 +477,7 @@ def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
         admit = _emission_admitter(_BuildingStack, plan, with_ext, legit)
         for i, em in enumerate(ems):
             got = admit(i, 1000 + i, 0.0)
-            want = _ref_materialize(em, with_ext, legit, plan.firsts)
+            want = _ref_materialize(em, with_ext, legit)
             if plan.attack_corrupt[i]:
                 want.payload = _corrupt_payload(want.payload)
             assert (got.header, got.payload, got.source, got.record) == (

@@ -629,7 +629,7 @@ def _fragment_path_admitter(stack, plan, with_ext, legit):
             payload = _corrupt_payload(payload)
         victim = attack.victims[k]
         if victim >= 0:
-            header = legit[plan.firsts[victim]].header
+            header = legit[victim].header
         else:
             ext = None
             if with_ext:
@@ -686,7 +686,7 @@ def test_hostile_frames_from_the_columns_equal_the_fragment_path(kind, corruptio
 
 def _plan_state(plan):
     columns = {name: bytes(getattr(plan, name)) for name in (
-        "times", "sources", "kinds", "refs", "origins", "codes", "firsts", "legit_corrupt",
+        "times", "sources", "kinds", "refs", "origins", "codes", "legit_corrupt",
         "attack_corrupt")}
     wires = {}
     for signer in (None, "chain", "mac"):
