@@ -14,8 +14,9 @@ identical adversary schedule against every stack.
 A schedule keeps its emissions as columns: times, kinds, sources,
 sizes, tags, offsets and victims in arrays, and the payload, nonce and
 signature bytes as slices of one blob that holds the builder's random
-draws in call order.  That is the only form an emission takes: the
-simulator builds an admitted frame's fragment straight from its row.
+draws in call order, each made when a reader first needs its bytes.
+That is the only form an emission takes: the simulator builds an
+admitted frame's fragment straight from its row.
 
 The warmup is a low-rate phase of innocuous single-fragment datagrams,
 which builds a normal-looking behavioral record before the attack turns
@@ -32,8 +33,9 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
-from operator import le
+from functools import partial
+from itertools import count, islice, repeat, takewhile
+from operator import add, gt, le, truediv
 from typing import NamedTuple
 
 from .frag_codec import MAX_FRAGMENT_PAYLOAD
@@ -90,13 +92,15 @@ class _TagCounter:
     def __init__(self, base: int = _FORGED_TAG_BASE):
         self.next_tag = base
 
-    def take_n(self, n: int) -> list[int]:
+    def take_n(self, n: int) -> array:
         """The next n tags, wrapping back into the forged range."""
-        tags = []
+        tags = array("i")
         tag = self.next_tag
-        for _ in range(n):
-            tags.append(tag)
-            tag = (tag + 1) % 0x10000 or _FORGED_TAG_BASE
+        while n:
+            run = min(n, 0x10000 - tag)  # up to the wrap
+            tags.extend(range(tag, tag + run))
+            n -= run
+            tag = (tag + run) % 0x10000 or _FORGED_TAG_BASE
         self.next_tag = tag
         return tags
 
@@ -125,14 +129,16 @@ class AttackSchedule:
     Row i of the columns is one emission; kinds[i] indexes frag_codec.KIND_CODES.
     Its payload, nonce and signature are the blob's payload_len[i]
     bytes at payload_at[i], 4 at nonce_at[i] and 8 at sig_at[i].
-    ``draw(n)`` appends one ``rng.randbytes(n)`` to the blob, so the
-    blob holds the builder's draws in call order.
+    ``draw(n)`` records one ``rng.randbytes(n)`` and returns its offset;
+    ``fill(end)`` makes the draws in call order until the blob, the
+    bytes made so far, holds end of them, and returns its length.  A
+    reader past its end calls fill first.
     """
 
     def __init__(self, rng):
         self.times = array("d")
         self.kinds = array("B")
-        self.sources = array("q")
+        self.sources = array("i")
         self.sizes = array("i")
         self.tags = array("i")
         self.offsets = array("i")
@@ -145,13 +151,26 @@ class AttackSchedule:
         # the legit fragment an emission copies (see the module docstring), or -1
         self.victims = array("i")
         self.blob = bytearray()
+        # every draw's size in call order, how many are made, and their total
+        self._draws, self._made, self.drawn = array("i"), 0, 0
         self._rng = rng
 
     def draw(self, n: int) -> int:
-        """Append n random bytes to the blob and return where they start."""
-        at = len(self.blob)
-        self.blob += self._rng.randbytes(n)
+        """Record a draw of n random bytes and return where they will start in the blob."""
+        at = self.drawn
+        self._draws.append(n)
+        self.drawn += n
         return at
+
+    def fill(self, end: int) -> int:
+        """Draw, in call order, until the blob holds end bytes; return the blob's length."""
+        blob, draws, randbytes = self.blob, self._draws, self._rng.randbytes
+        k = self._made
+        while len(blob) < end:
+            blob += randbytes(draws[k])
+            k += 1
+        self._made = k
+        return len(blob)
 
     def add(self, time, kind, source, size, tag, offset, payload_at, payload_len,
             nonce_at=-1, sig_at=-1, victim=-1) -> None:
@@ -213,7 +232,7 @@ def _forged_frag1s(spec: AttackSpec, out: AttackSchedule, tags: _TagCounter, tim
     for lo in range(0, len(times), _FORGED_CHUNK):
         k = min(_FORGED_CHUNK, len(times) - lo)
         at = out.draw(k * _FORGED_BYTES)
-        end = len(out.blob)
+        end = out.drawn
         runs = (times[lo : lo + k], _FRAG1, spec.attacker, spec.forged_size,  # add()'s order
                 tag_list[lo : lo + k], 0, range(at, end, _FORGED_BYTES), MAX_FRAGMENT_PAYLOAD,
                 range(at + MAX_FRAGMENT_PAYLOAD, end, _FORGED_BYTES),
@@ -282,11 +301,9 @@ def _emit_header_replay(spec, legit_sends, duration, out, tags) -> None:
 
 def _emit_burst_injection(spec, legit_sends, duration, out, tags) -> None:
     """Sustained stream of forged reservations at a fixed rate."""
-    times, n = [], 0
-    while (t := spec.start + n / spec.burst_rate) < duration:
-        times.append(t)
-        n += 1
-    _forged_frag1s(spec, out, tags, times)
+    times = map(truediv, count(), repeat(spec.burst_rate))
+    times = takewhile(partial(gt, duration), map(partial(add, spec.start), times))
+    _forged_frag1s(spec, out, tags, array("d", times))
 
 
 def _emit_late_phase(spec, legit_sends, duration, out, tags) -> None:

@@ -54,7 +54,9 @@ through the stack's gates straight from its row of the attack schedule,
 with blob slices for its payload, nonce and signature, in the wire
 shape of the stack under test, and gets a fragment only if a session
 stores it.  A header replay takes its nonce and signature from the
-victim's own signed first fragment.
+victim's own signed first fragment.  The blob's bytes are drawn on
+first read, so a schedule the prefilter drops unseen is never drawn,
+and what is drawn stays with the plan for every later run over it.
 
 A run's records are FrameRecords: the plan's arrival columns plus one
 byte per arrival for this run's disposition.  A FrameRecord is built
@@ -297,8 +299,9 @@ class ArrivalPlan(NamedTuple):
     arrival order, as columns.  A frame's ref is the index of its legit
     fragment, or ~index of its adversary emission.  Build one with
     plan_arrivals; simulate only reads it, except to sign the legit
-    fragments once per wire format on first use.  A plan with an
-    adversary shares the legit part with the plan of its traffic.
+    fragments once per wire format on first use and to draw adversary
+    bytes on first read.  A plan with an adversary shares the legit
+    part with the plan of its traffic.
     """
 
     seed: int
@@ -408,7 +411,7 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     corruption_rate = cfg.channel.corruption_rate
     sent_datagrams = {src: 0 for src in range(1, cfg.senders + 1)}
     sent_fragments = dict(sent_datagrams)
-    times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
+    times, sources, kinds, refs = array("d"), array("i"), array("B"), array("i")
     legit_corrupt = bytearray()
     pacing = cfg.traffic.pacing
     for send in sends:
@@ -451,7 +454,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
     loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
     attack = build_attack(cfg.attack, traffic.sends, cfg.duration, rng_attack)
     sent_fragments = {**traffic.sent_fragments, attacker: len(attack)}
-    times, sources, kinds, refs = array("d"), array("q"), array("B"), array("i")
+    times, sources, kinds, refs = array("d"), array("i"), array("B"), array("i")
     attack_corrupt = bytearray()
     draw = rng_chan.random
     for i, (t, source, code) in enumerate(zip(attack.times, attack.sources, attack.kinds)):
@@ -462,7 +465,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
             sources.append(source)
             kinds.append(code)
             refs.append(~i)
-    hostile = [times, sources, kinds, refs, array("q", [attacker]) * len(times),
+    hostile = [times, sources, kinds, refs, array("i", [attacker]) * len(times),
                array("B", [HOSTILE]) * len(times)]
     # a schedule is time-sorted, and so is the traffic
     columns = _merge([traffic.times, traffic.sources, traffic.kinds, traffic.refs,
@@ -632,18 +635,25 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
 
     Every emission goes to stack.admit_fields as its row and blob slices (one
     with a victim carries the signed nonce and signature of legit[victim])
-    and becomes a Fragment only if a session stores it.
+    and becomes a Fragment only if a session stores it.  A slice past the
+    bytes drawn so far draws up to its end first.
     """
     attack, corrupt = plan.attack, plan.attack_corrupt
-    blob, victims, sources, kinds = attack.blob, attack.victims, attack.sources, attack.kinds
+    blob, fill, victims, sources, kinds = (
+        attack.blob, attack.fill, attack.victims, attack.sources, attack.kinds)
     sizes, tags, offsets = attack.sizes, attack.tags, attack.offsets
     payload_at, payload_len, nonce_at, sig_at = (
         attack.payload_at, attack.payload_len, attack.nonce_at, attack.sig_at)
     admit_fields = stack.admit_fields
+    made = len(blob)  # only fill grows the blob
 
     def admit(k: int, record: int, now: float) -> AdmitResult:
+        nonlocal made
         at = payload_at[k]
-        payload = bytes(blob[at : at + payload_len[k]])
+        end = at + payload_len[k]
+        if end > made:
+            made = fill(end)
+        payload = bytes(blob[at:end])
         if corrupt[k]:
             payload = _corrupt_payload(payload)
         nonce = signature = None
@@ -652,6 +662,9 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
             if ext is not None:
                 nonce, signature = ext.nonce, ext.signature
         elif with_ext:
+            end = sig_at[k] + 8  # an emission's signature is its last draw
+            if end > made:
+                made = fill(end)
             at = nonce_at[k]
             nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
             at = sig_at[k]

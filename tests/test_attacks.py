@@ -3,6 +3,7 @@
 import pathlib
 import random
 import time
+from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ from pcsm.frag_codec import (
     FragmentKind,
     fragment_packet,
 )
-from pcsm.simulator import _corrupt_payload, _emission_admitter, plan_arrivals
+from pcsm.simulator import _corrupt_payload, _emission_admitter, plan_arrivals, simulate
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -49,10 +50,14 @@ class AttackEmission(NamedTuple):
 
 
 def _row(schedule, i):
-    """Row i of a schedule's columns as a record; no nonce or signature reads as the defaults."""
+    """Row i of a schedule's columns as a record; no nonce or signature reads as the defaults.
+
+    Reads through fill, as the simulator does: only as far as the row's last byte.
+    """
     blob = schedule.blob
     at = schedule.payload_at[i]
     nonce_at, sig_at = schedule.nonce_at[i], schedule.sig_at[i]
+    schedule.fill(max(at + schedule.payload_len[i], sig_at + 8))
     return AttackEmission(
         schedule.times[i], KIND_CODES[schedule.kinds[i]], schedule.sources[i],
         schedule.sizes[i], schedule.tags[i], schedule.offsets[i],
@@ -435,10 +440,68 @@ _CASES = [
 def test_columnar_schedule_equals_the_per_emission_reference(spec, duration, seed):
     sends = _victim_sends(seed)
     rng, twin = random.Random(seed), random.Random(seed)
-    got = _rows(build_attack(spec, sends, duration, rng))
+    schedule = build_attack(spec, sends, duration, rng)
+    got = _rows(schedule)
     want = _ref_build_attack(spec, sends, duration, twin)
     assert got == want
+    schedule.fill(schedule.drawn)  # the cut emissions' draws too, which no row reads
     assert rng.getstate() == twin.getstate()
+
+
+def _drawn_up_to(schedule, end):
+    """The blob's length once every draw up to the one that holds byte end-1 is made."""
+    ends = list(accumulate(schedule._draws))
+    return ends[bisect_left(ends, end)]
+
+
+@pytest.mark.parametrize("spec,duration", _CASES)
+def test_a_schedule_draws_nothing_until_a_read_and_then_only_up_to_it(spec, duration):
+    rng = random.Random(4)
+    schedule = build_attack(spec, _victim_sends(4), duration, rng)
+    assert len(schedule) and schedule.drawn == sum(schedule._draws)
+    assert schedule.blob == b"" and rng.getstate() == random.Random(4).getstate()
+    for i in (0, len(schedule) // 2):
+        at = schedule.payload_at[i]
+        end = max(at + schedule.payload_len[i], schedule.sig_at[i] + 8)
+        made = max(len(schedule.blob), _drawn_up_to(schedule, end))
+        _row(schedule, i)
+        assert len(schedule.blob) == made
+    assert len(schedule.blob) < schedule.drawn
+
+
+def _reordered(n, order):
+    rows = list(range(n))
+    if order == "reverse":
+        return rows[::-1]
+    if order == "shuffled":
+        random.Random(n).shuffle(rows)
+        return rows
+    return [i for i in rows[::7] for _ in range(3)] + rows  # repeated
+
+
+@pytest.mark.parametrize("order", ["reverse", "shuffled", "repeated"])
+@pytest.mark.parametrize("spec,duration", _CASES)
+def test_rows_read_in_any_order_equal_the_eager_reference(spec, duration, order):
+    sends = _victim_sends(2)
+    rng, twin = random.Random(2), random.Random(2)
+    schedule = build_attack(spec, sends, duration, rng)
+    want = _ref_build_attack(spec, sends, duration, twin)
+    assert len(schedule) == len(want)
+    for i in _reordered(len(schedule), order):
+        assert _row(schedule, i) == want[i]
+    assert schedule.fill(schedule.drawn) == schedule.drawn
+    assert rng.getstate() == twin.getstate()
+    assert _rows(schedule) == want
+
+
+def test_a_pcsm_sensitivity_run_draws_under_5_percent_of_its_schedule():
+    """The prefilter drops the burst unread, so its bytes are never drawn."""
+    cfg = load_config(REPO / "configs/sensitivity/base.yaml")
+    assert cfg.stack == "pcsm"
+    plan = plan_arrivals(cfg, 1)
+    assert plan.attack.drawn > 2_000_000 and not plan.attack.blob
+    simulate(cfg, 1, plan=plan)
+    assert 0 < len(plan.attack.blob) < 0.05 * plan.attack.drawn
 
 
 @pytest.mark.parametrize("spec,duration", [(_BURST_WRAP, 400.0), (_LATE_WRAP, 1800.0)])
@@ -469,10 +532,12 @@ class _BuildingStack:
 def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
     """Header (ext nonce and signature included), payload as the channel left it, source
     and record for every emission the admitter hands to the gates."""
-    plan = plan_arrivals(load_config(REPO / f"configs/pcsm-{kind}.yaml"), seed)
-    ems = _rows(plan.attack)
+    cfg = load_config(REPO / f"configs/pcsm-{kind}.yaml")
+    ems = _rows(plan_arrivals(cfg, seed).attack)
     assert ems
     for signer in (None, "chain", "mac"):
+        # a fresh plan per signer, so that its admitter draws every byte it reads
+        plan = plan_arrivals(cfg, seed)
         legit, with_ext = plan.wire(signer).fragments, signer is not None
         admit = _emission_admitter(_BuildingStack, plan, with_ext, legit)
         for i, em in enumerate(ems):

@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 import weakref
 from array import array
 
@@ -319,7 +320,8 @@ def test_shared_plan_reproduces_the_pinned_digest(case):
 
 
 def _schedule_bytes(schedule):
-    """Every column of an attack schedule, and its blob, as bytes."""
+    """Every column of an attack schedule, and its fully drawn blob, as bytes."""
+    schedule.fill(schedule.drawn)
     return {name: bytes(value) for name, value in vars(schedule).items()
             if isinstance(value, (array, bytearray))}
 
@@ -329,8 +331,9 @@ def test_replaying_a_plan_leaves_it_unchanged():
     b = dataclasses.replace(a, stack="secupan")
     plan = plan_arrivals(a, 3)
     before = list(plan.frames())
-    schedule = _schedule_bytes(plan.attack)
-    assert schedule["blob"] and schedule["times"]
+    # a twin's, so that the replays draw this plan's blob on first read
+    schedule = _schedule_bytes(plan_arrivals(a, 3).attack)
+    assert schedule["blob"] and schedule["times"] and not plan.attack.blob
     first = _digest(simulate(a, 3, trace=True, plan=plan))
     other = _digest(simulate(b, 3, trace=True, plan=plan))
     again = _digest(simulate(a, 3, trace=True, plan=plan))
@@ -339,6 +342,19 @@ def test_replaying_a_plan_leaves_it_unchanged():
     assert list(plan.frames()) == before
     assert _schedule_bytes(plan.attack) == schedule
     assert all(frame.origin == a.attack.attacker for frame in before if frame.ref < 0)
+
+
+def test_a_sensitivity_plan_peaks_within_its_memory_budget():
+    """The adversary's bytes are drawn on first read, so building the plan holds none of them."""
+    cfg = load_config(REPO / "configs/sensitivity/base.yaml")
+    tracemalloc.start()
+    try:
+        plan = plan_arrivals(cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.attack) > 25_000
+    assert peak < 4.5e6
 
 
 def test_plan_arrivals_are_time_sorted_and_match_the_records():
@@ -620,6 +636,7 @@ def _fragment_path_admitter(stack, plan, with_ext, legit):
     any other emission the header its row describes.
     """
     attack = plan.attack
+    attack.fill(attack.drawn)
     blob = attack.blob
 
     def admit(k, record, now):
