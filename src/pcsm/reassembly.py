@@ -74,6 +74,10 @@ def _dropped(reason: DropReason, cpu_ms: float = 0.0) -> AdmitResult:
     return AdmitResult(AdmitStatus.DROPPED, reason=reason, cpu_ms=cpu_ms)
 
 
+# admit()'s result for a frame its radio filter drops, told apart by identity
+FILTERED = AdmitResult(AdmitStatus.DROPPED, DropReason.UNTRUSTED)
+
+
 @lru_cache(maxsize=16)
 def _stored(cpu_ms: float) -> AdmitResult:
     return AdmitResult(AdmitStatus.STORED, cpu_ms=cpu_ms)
@@ -187,14 +191,8 @@ class ReassemblyBuffer:
             return 1.0
         return 1.0 - self._busy_integral / (self.slots * self._stat_clock)
 
-    def find(self, source: int, tag: int) -> ReassemblySession | None:
-        return self.sessions.get((source, tag))
-
-    def has_free_slot(self) -> bool:
-        return len(self.sessions) < self.slots
-
     def open(self, session: ReassemblySession) -> None:
-        if not self.has_free_slot():
+        if len(self.sessions) >= self.slots:
             raise RuntimeError("no free slot; callers must check first")
         self.sessions[(session.source, session.tag)] = session
         self.max_occupancy = max(self.max_occupancy, len(self.sessions))
@@ -226,8 +224,9 @@ class ReceiverStack:
     """The admission pipeline every receiver stack runs; subclasses add gates.
 
     admit_fields() holds the one fixed gate order, over a frame's header
-    fields and payload, and builds the frame's Fragment only to store it;
-    admit() feeds it a Fragment's fields.  Every gate here is open and
+    fields and payload, and builds the frame's Fragment only to store it.
+    admit() runs a Fragment through the radio filter (filter_frame), and
+    what passes through admit_fields.  Every gate here is open and
     every outcome hook a no-op, so this class as it stands is the vanilla
     stack.  An open-session collision is a REPLAY on a stack with a replay
     ledger; without one it cannot be told from tag wrap-around and is a
@@ -271,6 +270,10 @@ class ReceiverStack:
         """
         return ()
 
+    def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
+        """The radio filter for one frame: True drops it; this stack filters nothing."""
+        return False
+
     def identified_at(self, source: int) -> float | None:
         """When the stack first identified source as hostile, if it has."""
         return None
@@ -301,8 +304,10 @@ class ReceiverStack:
         """A datagram completed."""
 
     def admit(self, frag: Fragment, now: float) -> AdmitResult:
-        """Run frag through the gates; admit_fields has the sequence."""
+        """Run frag through the radio filter, then the gates; admit_fields has the sequence."""
         header = frag.header
+        if self.filter_frame(frag.source, header.kind, now):
+            return FILTERED
         ext = header.ext
         nonce, signature = (None, None) if ext is None else (ext.nonce, ext.signature)
         return self.admit_fields(
@@ -319,6 +324,7 @@ class ReceiverStack:
         called only when a session stores the frame.
         """
         buffer = self.buffer
+        sessions = buffer.sessions
         buffer.advance(now)
         if self._blocked(src, kind, now):
             return _dropped(DropReason.UNTRUSTED)
@@ -331,14 +337,14 @@ class ReceiverStack:
             ledger = self.ledger
             if ledger is not None and ledger.seen(src, tag, nonce, now):
                 return _dropped(DropReason.REPLAY, cpu)
-            if buffer.find(src, tag) is not None:
+            if (src, tag) in sessions:
                 collision = DropReason.DUPLICATE if ledger is None else DropReason.REPLAY
                 return _dropped(collision, cpu)
             if len(payload) > size:
                 return _dropped(DropReason.DUPLICATE, cpu)
             if not self._screen(src, tag, now):
                 return _dropped(DropReason.UNTRUSTED, cpu)
-            if not buffer.has_free_slot():
+            if len(sessions) >= buffer.slots:
                 return _dropped(DropReason.BUFFER_FULL, cpu)
             if ledger is not None:
                 ledger.record(src, tag, nonce, now)
@@ -351,7 +357,7 @@ class ReceiverStack:
                 buffer.open(session)
                 return _stored(cpu)
         else:
-            session = buffer.find(src, tag)
+            session = sessions.get((src, tag))
             if session is None:
                 self._rejected(src, now, False)
                 return _dropped(DropReason.NO_SESSION, cpu)
@@ -422,6 +428,8 @@ class PredictiveCsmStack(ReceiverStack):
       injection or the tail of traffic that already failed.
     - When a source crosses onto the blacklist its open sessions are
       purged immediately (counted as timeouts, with no extra penalty).
+    - The radio check is filter_frame: first in admit(), and in
+      filter_run for the arrival that opens a block episode.
     """
 
     SIGNER = "chain"
@@ -456,17 +464,29 @@ class PredictiveCsmStack(ReceiverStack):
         source and the dispatch kind, so a caller can drop a frame here
         without ever building its fragment.  Filtered frames never reach
         the stack proper (no RX or CPU cost for the receiver), but the
-        contact still refreshes the block and the source's first-fragment
-        time, so probing during a block cannot launder its inter-arrival.
+        contact still pushes the block's expiry out to now plus block_duration
+        and sets the source's first-fragment time, so probing during a
+        block cannot launder its inter-arrival.  An unknown or unblocked
+        source costs one state lookup and gets no TrustState.
         """
-        if not self.engine.note_blocked_contact(source, now):
+        state = self.engine.states.get(source)
+        if state is None:
             return False
+        until = state.blacklisted_until
+        if until is None or now >= until:
+            return False
+        proposed = now + self.engine.params.block_duration
+        if proposed > until:
+            state.blacklisted_until = proposed
         if kind is FRAG1:
-            self.engine.states[source].last_frag1_time = now
+            state.last_frag1_time = now
         return True
 
     def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
         """filter_frame for arrival i, then the rest of its source's block episode at once.
+
+        On an arrival filter_frame has just filtered it sets nothing new
+        for that arrival.
 
         A blocked source holds no session, since every move into a block
         purges its sessions (_purge_if_blocked, from _screen, _rejected
@@ -499,8 +519,8 @@ class PredictiveCsmStack(ReceiverStack):
                     or times[starts[r + 1]] >= times[end - 1] + block):
                 break
             r, a = r + 1, starts[r + 1]
-        # pushed here, not by note_blocked_contact: the episode has passed
-        # the expiry filter_frame set for arrival i
+        # pushed here, not by filter_frame: the episode has passed the
+        # expiry filter_frame set for arrival i
         state = self.engine.states[source]
         state.blacklisted_until = max(state.blacklisted_until, times[end - 1] + block)
         kinds = plan.kinds.tobytes()
@@ -518,10 +538,6 @@ class PredictiveCsmStack(ReceiverStack):
     def _purge_if_blocked(self, source: int, now: float) -> None:
         if self.engine.is_blocked(source, now):
             self.evictions.extend(self.buffer.purge_source(source))
-
-    def _blocked(self, source: int, kind: FragmentKind, now: float) -> bool:
-        # a frame the radio would have filtered never gets past admit() either
-        return self.filter_frame(source, kind, now)
 
     def _screen(self, source: int, tag: int, now: float) -> bool:
         obs = self.engine.observe_frag1(source, tag, now)

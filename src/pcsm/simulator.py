@@ -48,8 +48,9 @@ do not.  So the stack's filter_run hands over a blocked source's whole
 block episode at once, as ranges of arrival indexes; each costs one
 slice write to its disposition codes ("untrusted", prefiltered), and no
 fragment or record, and the loop skips its arrivals.  A legit frame
-that passes gets a fragment built for this run from the plan's signed
-fragments, whose record is its arrival index.  An adversary frame goes
+is its fragment from the plan's arrived table, built once per plan and
+wire format and shared by every run over it; its first gate is the
+radio.  An adversary frame meets the radio first and goes
 through the stack's gates straight from its row of the attack schedule,
 with blob slices for its payload, nonce and signature, in the wire
 shape of the stack under test, and gets a fragment only if a session
@@ -73,9 +74,8 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
-from itertools import repeat
-from operator import eq
+from itertools import compress, repeat, starmap
+from operator import add, eq, ge, invert, lt, not_
 from typing import NamedTuple
 
 from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
@@ -93,7 +93,7 @@ from .frag_codec import (
     header_length,
 )
 from .hash_chain import ChainLinks, seed_chain, sign_fragments
-from .reassembly import HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
+from .reassembly import FILTERED, HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
 
 PROPAGATION_DELAY = 0.001
 TICK_INTERVAL = 1.0
@@ -298,10 +298,10 @@ class ArrivalPlan(NamedTuple):
     with its channel fates, and every frame that reaches the root in
     arrival order, as columns.  A frame's ref is the index of its legit
     fragment, or ~index of its adversary emission.  Build one with
-    plan_arrivals; simulate only reads it, except to sign the legit
-    fragments once per wire format on first use and to draw adversary
-    bytes on first read.  A plan with an adversary shares the legit
-    part with the plan of its traffic.
+    plan_arrivals; simulate only reads it, except to fill its tables on
+    first use (wires, arrived, source_runs) and to draw adversary bytes
+    on first read.  A plan with an adversary shares the legit part with
+    the plan of its traffic, except arrived: arrival indexes differ.
     """
 
     seed: int
@@ -326,6 +326,8 @@ class ArrivalPlan(NamedTuple):
     traffic: ArrivalPlan | None
     # signer -> _Wire, filled by wire() on first use
     wires: dict
+    # signer -> received legit fragments, filled by arrivals() on first use
+    arrived: dict
     # source -> its runs, filled by runs() on first use
     source_runs: dict
 
@@ -343,6 +345,23 @@ class ArrivalPlan(NamedTuple):
         built = self.wires.get(signer)
         if built is None:
             built = self.wires[signer] = _build_wire(self, signer)
+        return built
+
+    def arrivals(self, signer: str | None) -> list[Fragment | None]:
+        """Each legit fragment by index as the root gets it under signer, or None if lost.
+
+        Corrupted as the channel did, with its arrival index as record;
+        every run over the plan shares them, and no stack writes to one.
+        """
+        built = self.arrived.get(signer)
+        if built is None:
+            sent, corrupt, refs = self.wire(signer).fragments, self.legit_corrupt, self.refs
+            built = self.arrived[signer] = [None] * len(sent)
+            # a legit arrival's code is "stored" (0), a hostile one's HOSTILE
+            for i in compress(range(len(refs)), map(not_, self.codes)):
+                frag = sent[refs[i]]
+                payload = _corrupt_payload(frag.payload) if corrupt[refs[i]] else frag.payload
+                built[refs[i]] = Fragment(frag.header, payload, self.sources[i], i)
         return built
 
     def runs(self, source: int) -> tuple[array, array]:
@@ -430,7 +449,8 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     sort_columns(columns)
     return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, None, None,
                        sent_datagrams, sent_fragments, *columns, sources[:],
-                       array("B", bytes(len(times))), legit_corrupt, bytearray(), None, {}, {})
+                       array("B", bytes(len(times))), legit_corrupt, bytearray(), None,
+                       {}, {}, {})
 
 
 def plan_arrivals(cfg: ScenarioConfig, seed: int,
@@ -447,32 +467,28 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
     if cfg.attack is None:
         return traffic
 
-    # adversary traffic, one loss and one corruption draw per emission
+    # adversary traffic, one loss and then one corruption draw per emission
     attacker = cfg.attack.attacker
     rng_attack = random.Random(f"{seed}:attack")
     rng_chan = random.Random(f"{seed}:attack-channel")
     loss_rate, corruption_rate = cfg.channel.loss_rate, cfg.channel.corruption_rate
     attack = build_attack(cfg.attack, traffic.sends, cfg.duration, rng_attack)
     sent_fragments = {**traffic.sent_fragments, attacker: len(attack)}
-    times, sources, kinds, refs = array("d"), array("i"), array("B"), array("i")
-    attack_corrupt = bytearray()
-    draw = rng_chan.random
-    for i, (t, source, code) in enumerate(zip(attack.times, attack.sources, attack.kinds)):
-        lost = draw() < loss_rate
-        attack_corrupt.append(draw() < corruption_rate)
-        if not lost:
-            times.append(t + PROPAGATION_DELAY)
-            sources.append(source)
-            kinds.append(code)
-            refs.append(~i)
-    hostile = [times, sources, kinds, refs, array("i", [attacker]) * len(times),
-               array("B", [HOSTILE]) * len(times)]
+    fates = array("d", starmap(rng_chan.random, repeat((), 2 * len(attack))))
+    attack_corrupt = bytearray(map(lt, fates[1::2], repeat(corruption_rate)))
+    kept = bytes(map(ge, fates[::2], repeat(loss_rate)))
+    del fates
+    times = array("d", map(add, compress(attack.times, kept), repeat(PROPAGATION_DELAY)))
+    hostile = [times, array("i", compress(attack.sources, kept)),
+               array("B", compress(attack.kinds, kept)),
+               array("i", compress(map(invert, range(len(attack))), kept)),
+               array("i", [attacker]) * len(times), array("B", [HOSTILE]) * len(times)]
     # a schedule is time-sorted, and so is the traffic
     columns = _merge([traffic.times, traffic.sources, traffic.kinds, traffic.refs,
                       traffic.origins, traffic.codes], hostile)
     return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, attacker,
                        attack, traffic.sent_datagrams, sent_fragments, *columns,
-                       traffic.legit_corrupt, attack_corrupt, traffic, {}, {})
+                       traffic.legit_corrupt, attack_corrupt, traffic, {}, {}, {})
 
 
 def _merge(first: list[array], second: list[array]) -> list[array]:
@@ -529,10 +545,11 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     next_tick = TICK_INTERVAL
     filter_run = stack.filter_run
     header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
-    legit, legit_corrupt = wire.fragments, plan.legit_corrupt
+    arrived, admit = plan.arrivals(stack.SIGNER), stack.admit
+    dropped, delivered_status = AdmitStatus.DROPPED, AdmitStatus.DELIVERED  # read once
     if plan.attack is not None:
         payload_len = plan.attack.payload_len
-        admit_emission = _emission_admitter(stack, plan, with_ext, legit)
+        admit_emission = _emission_admitter(stack, plan, with_ext, wire.fragments)
     times, sources, kinds, refs, origins = (
         plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
     codes = bytearray(plan.codes)
@@ -560,32 +577,31 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             _mark(stack.tick(next_tick), _TIMEOUT)
             next_tick += TICK_INTERVAL
 
-        ranges = filter_run(plan, i)
+        # one radio check per arrival: admit()'s first, or filter_run's before a hostile read
+        code, ref = kinds[i], refs[i]
+        if ref >= 0:
+            frag = arrived[ref]
+            result = admit(frag, now)
+            ranges = filter_run(plan, i) if result is FILTERED else ()
+        else:
+            ranges = filter_run(plan, i)
         if ranges:
             # address-filtered in the radio: no RX cost, no CPU
             for a, b in ranges:
                 codes[a:b] = taken[a:b] = codes[a:b].translate(_PREFILTER)
             continue
 
-        code, ref = kinds[i], refs[i]
         # airtime() inlined: the RX charge of the frame's header and payload
         if ref >= 0:
-            # a fresh fragment per run: corruption and the record are per run
-            sent = legit[ref]
-            root.rx_s += (header_lens[code] + len(sent.payload)) * 8 / BITRATE
-            frag = Fragment(sent.header, sent.payload, sources[i])
-            if legit_corrupt[ref]:
-                frag.payload = _corrupt_payload(frag.payload)
-            frag.record = i
-            result = stack.admit(frag, now)
+            root.rx_s += (header_lens[code] + len(frag.payload)) * 8 / BITRATE
         else:
             root.rx_s += (header_lens[code] + payload_len[~ref]) * 8 / BITRATE
             result = admit_emission(~ref, i, now)
         root.cpu_ms += result.cpu_ms
 
-        if result.status is AdmitStatus.DROPPED:
+        if result.status is dropped:
             codes[i] |= _REASON_CODE[result.reason]
-        elif result.status is AdmitStatus.DELIVERED:
+        elif result.status is delivered_status:
             for f in result.fragments:
                 codes[f.record] |= _DELIVERED
             while unreached and unreached[-1].time <= now:
@@ -646,9 +662,15 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
         attack.payload_at, attack.payload_len, attack.nonce_at, attack.sig_at)
     admit_fields = stack.admit_fields
     made = len(blob)  # only fill grows the blob
+    # the emission in hand: admit_fields calls build() only inside admit()
+    source = kind = size = tag = offset = nonce = signature = payload = arrival = None
+
+    def build() -> Fragment:
+        return _materialize_emission(source, kind, size, tag, offset, nonce, signature, payload,
+                                     arrival)
 
     def admit(k: int, record: int, now: float) -> AdmitResult:
-        nonlocal made
+        nonlocal made, source, kind, size, tag, offset, nonce, signature, payload, arrival
         at = payload_at[k]
         end = at + payload_len[k]
         if end > made:
@@ -669,10 +691,8 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
             nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
             at = sig_at[k]
             signature = bytes(blob[at : at + 8])
-        source, kind, size, tag, offset = (
-            sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k])
-        build = partial(_materialize_emission, source, kind, size, tag, offset, nonce,
-                        signature, payload, record)
+        source, kind, size, tag, offset, arrival = (
+            sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k], record)
         return admit_fields(source, kind, size, tag, offset, nonce, signature, payload, now,
                             build)
 

@@ -6,10 +6,10 @@ moving average over binary outcomes:
     score' = forgetting_factor * score + (1 - forgetting_factor) * outcome
 
 A score below the threshold triggers a temporary blacklist.  While a
-blacklisted source keeps transmitting, every observed contact pushes
-the expiry forward; the block only lapses after the source has stayed
-quiet for the full block duration, after which the node re-enters on
-probation with its score reset to the threshold.
+blacklisted source keeps transmitting, every contact the receiver's radio
+filter sees pushes the expiry forward; the block only lapses after the
+source has stayed quiet for the full block duration, after which the
+node re-enters on probation with its score reset to the threshold.
 
 First-fragment arrivals are screened against per-source behavioral
 baselines (EWMA of inter-arrival time and arrival rate, plus sequence
@@ -101,23 +101,6 @@ class TrustEngine:
         st = self.states.get(node)
         return st is not None and st.blacklisted_until is not None and now < st.blacklisted_until
 
-    def note_blocked_contact(self, node: int, now: float) -> bool:
-        """A source transmitted: if it is blocked, push its expiry forward.
-
-        Returns whether the source is blocked (as is_blocked), from one
-        state lookup; an unknown or unblocked source is left untouched.
-        """
-        st = self.states.get(node)
-        if st is None:
-            return False
-        until = st.blacklisted_until
-        if until is None or now >= until:
-            return False
-        proposed = now + self.params.block_duration
-        if proposed > until:
-            st.blacklisted_until = proposed
-        return True
-
     def update(self, node: int, outcome: int, now: float) -> TrustState:
         st = self.state(node)
         p = self.params
@@ -187,5 +170,6 @@ class TrustEngine:
             a = p.history_alpha
             st.ewma_inter_arrival = a * obs.inter_arrival + (1 - a) * st.ewma_inter_arrival
             st.ewma_rate = a * obs.rate + (1 - a) * st.ewma_rate
-        accept = st.score >= p.threshold and not self.is_blocked(node, now)
+        until = st.blacklisted_until  # is_blocked, on the state in hand
+        accept = st.score >= p.threshold and (until is None or now >= until)
         return accept, anomalous

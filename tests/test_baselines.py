@@ -208,7 +208,7 @@ def test_secupan_bit_error_drops_single_fragment_only():
     assert out[1].reason is DropReason.BAD_SIGNATURE
     assert out[2].status is AdmitStatus.STORED
     # the chain is not poisoned, but the datagram stays incomplete and expires
-    session = stack.buffer.find(3, 11)
+    session = stack.buffer.sessions[(3, 11)]
     assert session.received_bytes == 192
     assert len(stack.tick(11.0)) == 1
 

@@ -1,8 +1,20 @@
 """Admission pipeline tests: gates, slots, ledger, evictions, accounting."""
 
 import math
+from array import array
+from dataclasses import astuple
 
-from pcsm.frag_codec import ExtensionFields, Fragment, FragmentHeader, FragmentKind, fragment_packet
+from pcsm.frag_codec import (
+    KIND_CODES,
+    ExtensionFields,
+    Fragment,
+    FragmentHeader,
+    FragmentKind,
+    decode_header,
+    encode_header,
+    fragment_packet,
+    header_length,
+)
 from pcsm.hash_chain import sign_fragments
 from pcsm.reassembly import (
     AdmitStatus,
@@ -294,3 +306,62 @@ def test_prefilter_passes_unknown_and_unblocked_sources_without_state():
     assert not idle.filter_frame(4, FragmentKind.FRAG1, 100.0)
     assert idle.engine.states[4].blacklisted_until is None
     assert idle.engine.states[4].last_frag1_time is None
+
+
+class _OneArrival:
+    """The plan columns filter_run reads, for a plan of one arrival."""
+
+    def __init__(self, source, kind, now):
+        self.times, self.sources = array("d", [now]), array("i", [source])
+        self.kinds = array("B", [KIND_CODES.index(kind)])
+
+    def runs(self, source):
+        return array("i", [0]), array("i", [1])
+
+
+def _oversized_frag1(source):
+    # it carries more bytes than its datagram declares, so admit() drops it as a
+    # DUPLICATE after the radio check and before any gate that reads trust state
+    header = FragmentHeader(FragmentKind.FRAG1, 10, 1, 0, ExtensionFields(nonce=bytes(4)))
+    return Fragment(header, bytes(96), source=source)
+
+
+def test_radio_check_passes_an_unknown_source_and_makes_no_state():
+    stack = _stack()
+    for kind in FragmentKind:
+        assert stack.filter_run(_OneArrival(5, kind, 100.0), 0) == ()
+    assert stack.admit(_oversized_frag1(5), 100.0).reason is DropReason.DUPLICATE
+    assert stack.engine.states == {}
+
+
+def test_radio_check_passes_a_lapsed_block_and_leaves_its_state_untouched():
+    stack = _blocked_stack(9, 200.0)
+    stack.engine.observe_frag1(9, 1, 100.0)
+    before = astuple(stack.engine.states[9])
+    for kind in FragmentKind:
+        # the block lapses at its expiry instant
+        assert stack.filter_run(_OneArrival(9, kind, 200.0), 0) == ()
+    assert stack.admit(_oversized_frag1(9), 200.0).reason is DropReason.DUPLICATE
+    assert astuple(stack.engine.states[9]) == before
+    assert stack.engine.states.keys() == {9}
+
+
+def test_library_admit_drops_a_blocked_source_and_pushes_its_expiry():
+    """The wire path: decoded frames go straight to admit(), with no filter_run in front."""
+    stack = _blocked_stack(9, 200.0)
+    state = stack.engine.states[9]
+    received = []
+    for frag in _train(bytes(200), 5, 9, bytes(4))[:2]:
+        data = encode_header(frag.header) + frag.payload
+        hlen = header_length(frag.header.kind, True)
+        received.append(Fragment(decode_header(data[:hlen]), data[hlen:], source=9))
+    result = stack.admit(received[0], 170.0)
+    assert (result.status, result.reason, result.cpu_ms) == (
+        AdmitStatus.DROPPED, DropReason.UNTRUSTED, 0.0)
+    assert state.blacklisted_until == 230.0
+    assert state.last_frag1_time == 170.0
+    # a continuation pushes the expiry too, and leaves the first-fragment time
+    assert stack.admit(received[1], 190.0).reason is DropReason.UNTRUSTED
+    assert (state.blacklisted_until, state.last_frag1_time) == (250.0, 170.0)
+    assert stack.buffer.sessions == {}
+    assert stack.block_events == {}

@@ -328,20 +328,38 @@ def _schedule_bytes(schedule):
 
 def test_replaying_a_plan_leaves_it_unchanged():
     a = load_config(REPO / "configs/pcsm-burst_injection.yaml")
-    b = dataclasses.replace(a, stack="secupan")
-    plan = plan_arrivals(a, 3)
-    before = list(plan.frames())
-    # a twin's, so that the replays draw this plan's blob on first read
-    schedule = _schedule_bytes(plan_arrivals(a, 3).attack)
-    assert schedule["blob"] and schedule["times"] and not plan.attack.blob
-    first = _digest(simulate(a, 3, trace=True, plan=plan))
-    other = _digest(simulate(b, 3, trace=True, plan=plan))
-    again = _digest(simulate(a, 3, trace=True, plan=plan))
-    assert first == again == _digest(simulate(a, 3, trace=True))
-    assert other == _digest(simulate(b, 3, trace=True))
-    assert list(plan.frames()) == before
-    assert _schedule_bytes(plan.attack) == schedule
-    assert all(frame.origin == a.attack.attacker for frame in before if frame.ref < 0)
+    # with corrupted legit fragments, whose payloads are the plan's own copies
+    a = dataclasses.replace(a, channel=dataclasses.replace(a.channel, corruption_rate=0.03))
+    # every stack, so every signer, and a second pcsm trust cell
+    trust = dataclasses.replace(a.trust, forgetting_factor=0.7, threshold=0.2)
+    cells = [dataclasses.replace(a, name=stack, stack=stack) for stack in STACKS]
+    cells.append(dataclasses.replace(a, name="other", trust=trust))
+    alone = {cell.name: _digest(simulate(cell, 3, trace=True)) for cell in cells}
+    # a twin's, so that the replays draw each plan's blob on first read
+    twin = plan_arrivals(a, 3)
+    schedule = _schedule_bytes(twin.attack)
+    for order in (cells, cells[::-1]):
+        plan = plan_arrivals(a, 3)
+        before = list(plan.frames())
+        assert schedule["blob"] and schedule["times"] and not plan.attack.blob
+        shared = [_digest(simulate(cell, 3, trace=True, plan=plan)) for cell in order]
+        # the first cell again, after every other cell has replayed the plan
+        shared.append(_digest(simulate(order[0], 3, trace=True, plan=plan)))
+        assert shared == [alone[cell.name] for cell in order + order[:1]]
+        assert list(plan.frames()) == before
+        assert _schedule_bytes(plan.attack) == schedule
+        assert all(frame.origin == a.attack.attacker for frame in before if frame.ref < 0)
+        # Fragment is mutable: no run may have written to the legit fragments every run shares
+        assert plan.arrived.keys() == {None, "chain", "mac"}
+        for signer, arrived in plan.arrived.items():
+            fresh = twin.arrivals(signer)
+            assert sum(frag is not None for frag in arrived) == sum(r >= 0 for r in plan.refs)
+            assert any(f.payload != sent.payload
+                       for f, sent in zip(arrived, plan.wire(signer).fragments) if f)
+            assert [None if f is None else (f.header, f.payload, f.source, f.record)
+                    for f in arrived] == [None if f is None else
+                                          (f.header, f.payload, f.source, f.record)
+                                          for f in fresh]
 
 
 def test_a_sensitivity_plan_peaks_within_its_memory_budget():
@@ -461,7 +479,7 @@ def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1)):
     arrivals.sort(key=lambda a: a[0])
     times, sources, kinds, refs, origins = map(list, zip(*arrivals))
     return base._replace(
-        attack=attack, attack_corrupt=bytearray(len(rows)), wires={}, source_runs={},
+        attack=attack, attack_corrupt=bytearray(len(rows)), wires={}, arrived={}, source_runs={},
         times=array("d", times), sources=array("q", sources), kinds=array("B", kinds),
         refs=array("i", refs), origins=array("q", origins),
         codes=array("B", (HOSTILE if ref < 0 else 0 for ref in refs)))

@@ -3,6 +3,8 @@
 import math
 import random
 
+from pcsm.frag_codec import FragmentKind
+from pcsm.reassembly import PredictiveCsmStack
 from pcsm.trust_engine import (
     BehaviorObservation,
     TrustEngine,
@@ -158,15 +160,17 @@ def test_blacklist_lifecycle_and_probation():
 
 
 def test_block_refreshes_while_offender_keeps_transmitting():
-    eng = TrustEngine(TrustParams(block_duration=60.0))
+    # the receiver's radio filter reports each contact to the engine's state
+    stack = PredictiveCsmStack(b"k", TrustParams(block_duration=60.0))
+    eng = stack.engine
     eng.state(9).score = 0.05
     eng.penalize(9, 100.0)
     assert eng.is_blocked(9, 159.0)
-    eng.note_blocked_contact(9, 150.0)
+    assert stack.filter_frame(9, FragmentKind.FRAGN, 150.0)
     assert eng.is_blocked(9, 200.0)  # expiry moved to 210
     assert not eng.is_blocked(9, 210.0)
     # contact on an unblocked node is a no-op
-    eng.note_blocked_contact(2, 300.0)
+    assert not stack.filter_frame(2, FragmentKind.FRAGN, 300.0)
     assert not eng.is_blocked(2, 300.0)
 
 
