@@ -200,6 +200,14 @@ class ReassemblyBuffer:
     def close(self, session: ReassemblySession) -> None:
         self.sessions.pop((session.source, session.tag), None)
 
+    def idle_tick(self, now: float) -> bool:
+        """advance(now) and True if evict_expired(now) would evict nothing; else False, no change."""
+        for s in self.sessions.values():
+            if s.started_at + self.timeout < now and not s.complete:
+                return False
+        self.advance(now)
+        return True
+
     def evict_expired(self, now: float) -> list[ReassemblySession]:
         expired = [
             s for s in self.sessions.values() if s.started_at + self.timeout < now and not s.complete

@@ -29,11 +29,10 @@ meaningful, and it splits a run in three:
   world (every config field except the stack, its buffer and trust
   settings, and the name), and is stored as columns.
 - Replay (simulate): build the stack, visit the plan's arrivals in one
-  pass, and keep the ledgers and records.  No event schedules another,
-  so nothing is added to the plan on the way.  Housekeeping ticks fall
-  on whole seconds, after any arrival at the same instant, and run only
-  while the reassembly buffer holds an open session; on an empty buffer
-  a tick changes nothing.
+  pass, and keep the ledgers and records; no event schedules another.
+  Housekeeping ticks fall on whole seconds, after any arrival at the
+  same instant, while the buffer holds an open session; a tick that
+  evicts nothing only moves its occupancy clock (buffer.idle_tick).
 
 A traffic or plan lives as long as its caller keeps it: simulate builds
 a plan per run unless given one, and the command-line sweeps build one
@@ -71,11 +70,11 @@ import math
 import random
 import re
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
-from itertools import compress, repeat, starmap
-from operator import add, eq, ge, invert, lt, not_
+from itertools import chain, compress, repeat, starmap
+from operator import add, ge, lt, ne, not_
 from typing import NamedTuple
 
 from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
@@ -365,14 +364,19 @@ class ArrivalPlan(NamedTuple):
         return built
 
     def runs(self, source: int) -> tuple[array, array]:
-        """Where each maximal run of source's consecutive arrivals starts, and where it ends."""
-        built = self.source_runs.get(source)
-        if built is None:
-            column = bytes(map(eq, self.sources, repeat(source)))
-            spans = [run.span() for run in re.finditer(b"\x01+", column)]
-            built = self.source_runs[source] = (array("i", [a for a, _ in spans]),
-                                                array("i", [b for _, b in spans]))
-        return built
+        """Where each maximal run of source's consecutive arrivals starts, and where it ends.
+
+        The first call splits every source's runs at once, at each change of source."""
+        if not self.source_runs:
+            column = self.sources
+            starts = [*compress(range(len(column)), map(ne, column, chain((None,), column)))]
+            for a, b in zip(starts, [*starts[1:], len(column)]):
+                built = self.source_runs.get(column[a])
+                if built is None:
+                    built = self.source_runs[column[a]] = (array("i"), array("i"))
+                built[0].append(a)
+                built[1].append(b)
+        return self.source_runs.get(source) or (array("i"), array("i"))
 
     def frames(self):
         """The arrivals in order, one _Frame each."""
@@ -479,9 +483,13 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
     kept = bytes(map(ge, fates[::2], repeat(loss_rate)))
     del fates
     times = array("d", map(add, compress(attack.times, kept), repeat(PROPAGATION_DELAY)))
-    hostile = [times, array("i", compress(attack.sources, kept)),
-               array("B", compress(attack.kinds, kept)),
-               array("i", compress(map(invert, range(len(attack))), kept)),
+    # loss keeps most emissions, so copy the schedule a kept span at a time
+    sources, kinds, refs = array("i"), array("B"), array("i")
+    for a, b in map(re.Match.span, re.finditer(b"\x01+", kept)):
+        sources += attack.sources[a:b]
+        kinds += attack.kinds[a:b]
+        refs += array("i", range(~a, ~b, -1))
+    hostile = [times, sources, kinds, refs,
                array("i", [attacker]) * len(times), array("B", [HOSTILE]) * len(times)]
     # a schedule is time-sorted, and so is the traffic
     columns = _merge([traffic.times, traffic.sources, traffic.kinds, traffic.refs,
@@ -495,17 +503,19 @@ def _merge(first: list[array], second: list[array]) -> list[array]:
     """Two sets of columns, each sorted by its first (time) column, as one.
 
     Stable, as sorting first's rows followed by second's would be: first's
-    rows come before second's at equal times.
+    rows come before second's at equal times.  The rows of first that fall
+    between the same two rows of second go in as one slice per column.
     """
-    later = second[0]
+    times, later = first[0], second[0]
     merged = [array(col.typecode) for col in first]
-    at = 0
-    for i, t in enumerate(first[0]):
-        upto = bisect_left(later, t, at)
+    i = at = 0
+    while i < len(times):
+        upto = bisect_left(later, times[i], at)
+        j = bisect_right(times, later[upto], i) if upto < len(later) else len(times)
         for out, mine, theirs in zip(merged, first, second):
             out += theirs[at:upto]
-            out.append(mine[i])
-        at = upto
+            out += mine[i:j]
+        i, at = j, upto
     for out, theirs in zip(merged, second):
         out += theirs[at:]
     return merged
@@ -574,7 +584,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             if not buffer.sessions:
                 next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
                 break
-            _mark(stack.tick(next_tick), _TIMEOUT)
+            if not buffer.idle_tick(next_tick):
+                _mark(stack.tick(next_tick), _TIMEOUT)
             next_tick += TICK_INTERVAL
 
         # one radio check per arrival: admit()'s first, or filter_run's before a hostile read
@@ -617,7 +628,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
         i += 1
 
     while next_tick <= duration and buffer.sessions:
-        _mark(stack.tick(next_tick), _TIMEOUT)
+        if not buffer.idle_tick(next_tick):
+            _mark(stack.tick(next_tick), _TIMEOUT)
         next_tick += TICK_INTERVAL
 
     # read before flush: a block that only starts at the end of the run is no identification

@@ -1,6 +1,7 @@
 """End-to-end runs of the event loop, checked against hand counts."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -28,7 +29,7 @@ from pcsm.frag_codec import (
 )
 from pcsm.hash_chain import ChainLinks, chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.reassembly import PredictiveCsmStack, ReassemblySession
+from pcsm.reassembly import PredictiveCsmStack, ReassemblyBuffer, ReassemblySession
 from pcsm.simulator import (
     HOSTILE,
     _corrupt_payload,
@@ -278,6 +279,50 @@ def test_open_session_times_out_at_first_whole_second_tick_past_deadline(timeout
 def test_session_open_at_end_of_run_is_buffered(duration, disposition):
     r = _starved_session_run(10.0, duration=duration)
     assert r.records[0].disposition == disposition
+
+
+def _replay_ticks(run, stack_class, monkeypatch, every_tick):
+    """run()'s result and the times of the stack ticks it ran.
+
+    With every_tick, no tick counts as idle: the reference, which runs
+    the stack's tick at every whole second while a session is open.
+    """
+    times, tick = [], stack_class.tick
+
+    def spy(self, now):
+        times.append(now)
+        return tick(self, now)
+
+    with monkeypatch.context() as m:
+        m.setattr(stack_class, "tick", spy)
+        if every_tick:
+            m.setattr(ReassemblyBuffer, "idle_tick", lambda self, now: False)
+        result = run()
+    return (bytes(result.records.codes), result.trust_history, result.block_events,
+            result.max_occupancy, result.mean_availability.hex()), times
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+@pytest.mark.parametrize("stack", STACKS)
+def test_idle_ticks_leave_every_run_as_full_ticks_do(stack, kind, monkeypatch):
+    cfg = load_config(REPO / f"configs/{stack}-{kind}.yaml")
+    plan = plan_arrivals(cfg, 1)
+    run = functools.partial(simulate, cfg, 1, trace=True, plan=plan)
+    fast, ran = _replay_ticks(run, baselines.STACKS[stack], monkeypatch, every_tick=False)
+    slow, every = _replay_ticks(run, baselines.STACKS[stack], monkeypatch, every_tick=True)
+    assert fast == slow
+    assert set(ran) < set(every)
+
+
+@pytest.mark.parametrize("timeout,evicted_at", [(10.0, 72.0), (10.749, 73.0)])
+def test_idle_ticks_leave_a_starved_session_as_full_ticks_do(timeout, evicted_at, monkeypatch):
+    run = functools.partial(_starved_session_run, timeout, duration=100.0)
+    fast, ran = _replay_ticks(run, PredictiveCsmStack, monkeypatch, every_tick=False)
+    slow, every = _replay_ticks(run, PredictiveCsmStack, monkeypatch, every_tick=True)
+    assert fast == slow
+    # the session opens at 61.251 s; only the tick past its deadline evicts it
+    assert ran == [evicted_at]
+    assert every == [float(t) for t in range(62, int(evicted_at) + 1)]
 
 
 def test_arrival_goes_before_a_tick_at_the_same_instant():
@@ -631,20 +676,146 @@ def test_episodes_equal_one_frame_at_a_time_on_bundled_configs(config, seed, mon
         assert episodes
 
 
-@pytest.mark.parametrize("attacker", [9, 300, 2**31 - 1])
-def test_runs_are_each_sources_maximal_runs_of_consecutive_arrivals(attacker):
-    cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
-    cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, attacker=attacker))
+BUNDLED = sorted(str(path.relative_to(REPO / "configs"))
+                 for path in (REPO / "configs").rglob("*.yaml"))
+
+
+# an int is the attacker id of the burst injection config, a str a bundled config
+@pytest.mark.parametrize("case", [9, 300, 2**31 - 1, *BUNDLED])
+def test_runs_are_each_sources_maximal_runs_of_consecutive_arrivals(case):
+    if isinstance(case, int):
+        cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, attacker=case))
+    else:
+        cfg = load_config(REPO / "configs" / case)
     plan = plan_arrivals(cfg, 1)
     want, at = {}, 0
     for source, group in itertools.groupby(plan.sources):
         n = len(list(group))
         want.setdefault(source, []).append((at, at + n))
         at += n
-    assert attacker in want
-    for source, spans in want.items():
+    if isinstance(case, int):
+        assert case in want
+    absent = max(want) + 1
+    assert absent not in plan.sources
+    # the first call splits every source's runs: ask for one with none first, the rest backwards
+    for source in [absent, *sorted(want, reverse=True), absent]:
         starts, ends = plan.runs(source)
-        assert list(zip(starts, ends)) == spans
+        assert list(zip(starts, ends)) == want.get(source, [])
+
+
+def _with_loss(cfg, loss_rate):
+    return dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, loss_rate=loss_rate))
+
+
+def _reference_plan(cfg, seed):
+    """cfg's arrivals for seed, one row at a time, and each emission's channel fates.
+
+    A row is (time, source, kind, ref, origin, code).  The legit rows go
+    in send and fragment order and the hostile ones in emission order, one
+    loss and then one corruption draw each, and the rows are stable-sorted
+    by time: so a legit row comes before a hostile one at the same time.
+    Returns the rows, and per emission whether it was kept and corrupted.
+    """
+    sends = _legit_schedule(cfg, seed)
+    rows, ref, pacing = [], 0, cfg.traffic.pacing
+    for send in sends:
+        for j, lost in enumerate(send.lost):
+            if not lost:
+                t = send.time + j * pacing + simulator.PROPAGATION_DELAY
+                rows.append((t, send.source, int(j > 0), ref, send.source, 0))
+            ref += 1
+    kept, corrupt = [], []
+    if cfg.attack is not None:
+        attacker = cfg.attack.attacker
+        attack = simulator.build_attack(cfg.attack, sends, cfg.duration,
+                                        random.Random(f"{seed}:attack"))
+        rng = random.Random(f"{seed}:attack-channel")
+        for k in range(len(attack)):
+            kept.append(rng.random() >= cfg.channel.loss_rate)
+            corrupt.append(rng.random() < cfg.channel.corruption_rate)
+            if kept[-1]:
+                t = attack.times[k] + simulator.PROPAGATION_DELAY
+                rows.append((t, attack.sources[k], attack.kinds[k], ~k, attacker, HOSTILE))
+    rows.sort(key=lambda row: row[0])
+    return rows, kept, corrupt
+
+
+def _plan_rows(plan):
+    return list(zip(plan.times, plan.sources, plan.kinds, plan.refs, plan.origins, plan.codes))
+
+
+def _assert_plan_matches_reference(cfg, seed):
+    plan = plan_arrivals(cfg, seed)
+    rows, _, corrupt = _reference_plan(cfg, seed)
+    assert _plan_rows(plan) == rows
+    assert list(plan.attack_corrupt) == corrupt
+    return plan, rows
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("config", BUNDLED)
+def test_plan_columns_equal_rows_sorted_one_at_a_time(config, seed):
+    _assert_plan_matches_reference(load_config(REPO / "configs" / config), seed)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", ["burst_injection", "header_replay"])
+def test_plan_columns_equal_the_reference_at_any_loss(kind, loss):
+    cfg = _with_loss(load_config(REPO / f"configs/pcsm-{kind}.yaml"), loss)
+    plan, rows = _assert_plan_matches_reference(cfg, 1)
+    hostile = sum(code == HOSTILE for *_, code in rows)
+    if loss == 0.0:
+        assert hostile == len(plan.attack) > 0
+    elif loss == 0.3:
+        assert 0 < hostile < len(plan.attack)
+    else:
+        assert rows == []
+        assert [list(column) for column in plan.runs(cfg.attack.attacker)] == [[], []]
+
+
+@pytest.mark.parametrize("end", [0, -1], ids=["first", "last"])
+def test_plan_columns_equal_the_reference_with_the_end_emission_lost(end):
+    cfg = _with_loss(load_config(REPO / "configs/pcsm-burst_injection.yaml"), 0.3)
+    seed = next(seed for seed in range(1, 50) if not _reference_plan(cfg, seed)[1][end])
+    _assert_plan_matches_reference(cfg, seed)
+
+
+def test_plan_columns_put_legit_rows_first_at_hand_built_ties(monkeypatch):
+    cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
+    pacing = cfg.traffic.pacing
+
+    def tied_attack(spec, sends, duration, rng):
+        # one forged FragN sent with each of the first sends' fragments, so both land at once
+        out = AttackSchedule(rng)
+        for send in sends[:6]:
+            for j in range(len(send.lost)):
+                out.add(send.time + j * pacing, 1, spec.attacker, 200, 0x8000, 12, out.draw(96), 96)
+        return out
+
+    monkeypatch.setattr(simulator, "build_attack", tied_attack)
+    _, rows = _assert_plan_matches_reference(cfg, 1)
+    times = [row[0] for row in rows]
+    ties = [k for k in range(1, len(rows)) if times[k] == times[k - 1]]
+    assert len(ties) == 6 * 3
+    assert all(rows[k - 1][5] == 0 and rows[k][5] == HOSTILE for k in ties)
+
+
+@pytest.mark.parametrize("first_times,second_times", [
+    ([1.0, 2.0, 2.0, 3.0, 5.0], [0.5, 2.0, 2.0, 2.5, 3.0, 4.0, 6.0]),
+    ([2.0, 2.0], [2.0, 2.0, 2.0]),
+    ([1.0, 2.0], [3.0, 4.0]),
+    ([3.0, 4.0], [1.0, 2.0]),
+    ([], [1.0]),
+    ([1.0], []),
+])
+def test_merge_is_a_stable_sort_of_first_then_second(first_times, second_times):
+    first = [array("d", first_times), array("i", range(len(first_times)))]
+    second = [array("d", second_times), array("i", range(-1, -len(second_times) - 1, -1))]
+    rows = sorted([*zip(*first), *zip(*second)], key=lambda row: row[0])
+    merged = simulator._merge(first, second)
+    assert [col.typecode for col in merged] == ["d", "i"]
+    assert list(zip(*merged)) == rows
 
 
 def _fragment_path_admitter(stack, plan, with_ext, legit):
