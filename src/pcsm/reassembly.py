@@ -98,8 +98,14 @@ class ReplayLedger:
         self.capacity = capacity
         self.entries: OrderedDict[tuple[int, int, bytes], float] = OrderedDict()
         self._expiries: list[tuple[float, tuple[int, int, bytes]]] = []
+        self._purged_at: float | None = None
 
     def _purge(self, now: float) -> None:
+        # a positive horizon sets every expiry past its instant, so nothing expires
+        # between two calls at one instant: record right after seen purges once
+        if now == self._purged_at:
+            return
+        self._purged_at = now if self.horizon > 0 else None
         heap, entries = self._expiries, self.entries
         while heap and heap[0][0] <= now:
             key = heappop(heap)[1]

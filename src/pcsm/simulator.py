@@ -220,6 +220,7 @@ class RunResult:
     trust_history: list | None = None
 
 
+# unused here; bench/layers.py wraps simulator._Frame when tracing
 class _Frame(NamedTuple):
     """One frame of a plan that survives the channel and reaches the root."""
 
@@ -377,14 +378,6 @@ class ArrivalPlan(NamedTuple):
                 built[0].append(a)
                 built[1].append(b)
         return self.source_runs.get(source) or (array("i"), array("i"))
-
-    def frames(self):
-        """The arrivals in order, one _Frame each."""
-        legit_corrupt, attack_corrupt = self.legit_corrupt, self.attack_corrupt
-        for now, source, code, origin, ref in zip(self.times, self.sources, self.kinds,
-                                                  self.origins, self.refs):
-            yield _Frame(now, source, KIND_CODES[code], origin,
-                         bool(legit_corrupt[ref] if ref >= 0 else attack_corrupt[~ref]), ref)
 
 
 _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}

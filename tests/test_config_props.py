@@ -1,13 +1,15 @@
-"""Every attack kind's config ends in a diagnostic or a run its planned-arrival estimate bounds."""
+"""Every config ends in a diagnostic, or in a run its planned-arrival estimate bounds and
+that equals the reference run."""
 
+import json
 from dataclasses import fields
 
 import pytest
 
 from pcsm.attacks import KINDS, AttackSpec
-from pcsm.config import ConfigInvalid, TrafficConfig, parse_config, planned_arrivals
-from pcsm.metrics import collect
-from pcsm.simulator import plan_arrivals, simulate
+from pcsm.config import STACKS, ConfigInvalid, TrafficConfig, parse_config, planned_arrivals
+from pcsm.simulator import plan_arrivals
+from reference_run import assert_matches_reference
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -56,20 +58,38 @@ def test_the_strategy_draws_every_attack_and_traffic_field():
     assert set(_TRAFFIC_VALUES) == {f.name for f in fields(TrafficConfig)}
 
 
+# Typical values for the rest, none of which a config refuses: whole and
+# fractional durations, so runs end on and off a tick, 0 and 1 s among
+# them (the tightest windows for the planned-arrival estimate), and
+# fractional timeouts, so deadlines fall between ticks.
+_RATE = st.floats(0.0, 0.3)
+_UNIT = st.floats(0.01, 0.99)  # inside the open interval the trust fields take
+_TYPICAL = st.fixed_dictionaries({
+    "duration": st.sampled_from([60.0, 71.9, 150.5, 300.0, 599.75, 900.0, 0.0, 1.0]),
+    "senders": st.integers(1, 10),
+    "buffer": st.fixed_dictionaries({"slots": st.integers(1, 4),
+                                     "timeout": st.sampled_from([10.0, 2.5, 10.749])}),
+    "channel": st.fixed_dictionaries({"loss_rate": _RATE, "corruption_rate": _RATE}),
+    "trust": st.fixed_dictionaries({"lambda": _UNIT, "theta": _UNIT}),
+})
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(kind=st.sampled_from(tuple(KINDS)), attack=_section(_ATTACK_VALUES),
-       traffic=_section(_TRAFFIC_VALUES),
-       duration=st.sampled_from([0.0, 1.0, 60.0, 300.0, 900.0]), senders=st.integers(1, 6),
+@given(stack=st.sampled_from(STACKS), kind=st.sampled_from((None, *KINDS)),
+       attack=_section(_ATTACK_VALUES), traffic=_section(_TRAFFIC_VALUES), typical=_TYPICAL,
        seed=st.integers(1, 3))
-def test_every_kind_config_is_refused_or_runs_within_its_planned_arrivals(
-        kind, attack, traffic, duration, senders, seed):
-    data = {"stack": "pcsm", "duration": duration, "senders": senders, "traffic": traffic,
-            "attack": {"kind": kind, **attack}}
+def test_every_config_is_refused_or_runs_as_the_reference_run_does(stack, kind, attack, traffic,
+                                                                    typical, seed):
+    data = {"stack": stack, "traffic": traffic, **typical}
+    if kind is not None:
+        data["attack"] = {"kind": kind, **attack}
     try:
         cfg = parse_config(data, default_name="prop")
-    except ConfigInvalid:
+    except ConfigInvalid as refused:
+        assert refused.field.startswith(("attack.", "traffic."))
         return
     plan = plan_arrivals(cfg, seed)
     # every legit fragment, lost or not, and every emission of the schedule
-    assert sum(len(send.lost) for send in plan.sends) + len(plan.attack) <= planned_arrivals(cfg)
-    assert collect(simulate(cfg, seed, plan=plan)).conservation_ok
+    emissions = len(plan.attack) if plan.attack is not None else 0
+    assert sum(len(send.lost) for send in plan.sends) + emissions <= planned_arrivals(cfg)
+    assert json.loads(assert_matches_reference(cfg, plan)["collect"])["conservation_ok"]

@@ -41,9 +41,11 @@ class _ScanLedger:
 # Few sources, tags and nonces, so keys repeat (hits refresh, records
 # overwrite); whole-number steps around the horizon, so expiries tie
 # with `now` and with each other; negative steps move `now` backwards.
+# "admit" is seen, then record if unseen, at one instant, as admission
+# calls them; zero steps put more calls at one instant.
 _calls = st.lists(
     st.tuples(
-        st.sampled_from(["seen", "record"]),
+        st.sampled_from(["seen", "record", "admit"]),
         st.integers(1, 2),
         st.integers(0, 1),
         st.sampled_from([b"\x00" * 4, b"\x01" * 4]),
@@ -53,14 +55,20 @@ _calls = st.lists(
 )
 
 
+def _call(ledger, method, key, now):
+    if method == "admit":
+        return ledger.seen(*key, now) or ledger.record(*key, now)
+    return getattr(ledger, method)(*key, now)
+
+
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(st.sampled_from([1.0, 5.0]), st.integers(1, 6), _calls)
+@given(st.sampled_from([0.0, 1.0, 5.0]), st.integers(1, 6), _calls)
 def test_property_heap_purge_equals_the_full_scan(horizon, capacity, calls):
     ledger, ref = ReplayLedger(horizon, capacity), _ScanLedger(horizon, capacity)
     now = 0.0
     for method, source, tag, nonce, step in calls:
         now += step
-        got = getattr(ledger, method)(source, tag, nonce, now)
-        want = getattr(ref, method)(source, tag, nonce, now)
+        got = _call(ledger, method, (source, tag, nonce), now)
+        want = _call(ref, method, (source, tag, nonce), now)
         assert got == want
         assert list(ledger.entries.items()) == list(ref.entries.items())
