@@ -239,18 +239,19 @@ class ReceiverStack:
 
     admit_fields() holds the one fixed gate order, over a frame's header
     fields and payload, and builds the frame's Fragment only to store it.
-    admit() runs a Fragment through the radio filter (filter_frame), and
-    what passes through admit_fields.  Every gate here is open and
-    every outcome hook a no-op, so this class as it stands is the vanilla
-    stack.  An open-session collision is a REPLAY on a stack with a replay
-    ledger; without one it cannot be told from tag wrap-around and is a
-    structural DUPLICATE.  Only a session that holds a chain is checked,
-    and each chain seed or verify costs HASH_CPU_MS.  VERIFY_CPU_MS is
-    charged on every outcome past the blocked-source gate.  A continuation
-    that passes every check but does not fit the datagram (it overlaps
-    stored bytes or runs past the declared size) is a DUPLICATE, with no
-    trust effect, and so is a first fragment that carries more bytes than
-    its datagram declares, which no session could ever complete.
+    The simulator calls it for each arrival the radio check (filter_frame)
+    lets through; admit() runs a library caller's Fragment through both.
+    Every gate here is open and every outcome hook a no-op, so this class
+    as it stands is the vanilla stack.  An open-session collision is a
+    REPLAY on a stack with a replay ledger; without one it cannot be told
+    from tag wrap-around and is a structural DUPLICATE.  Only a session
+    that holds a chain is checked, and each chain seed or verify costs
+    HASH_CPU_MS.  VERIFY_CPU_MS is charged on every outcome past the
+    blocked-source gate.  A continuation that passes every check but does
+    not fit the datagram (it overlaps stored bytes or runs past the
+    declared size) is a DUPLICATE, with no trust effect, and so is a first
+    fragment that carries more bytes than its datagram declares, which no
+    session could ever complete.
     """
 
     VERIFY_CPU_MS = 0.0
@@ -274,15 +275,15 @@ class ReceiverStack:
         return cls(cfg.buffer.slots, cfg.buffer.timeout)
 
     def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
-        """The (start, end) ranges of plan's arrival indexes, from i on, that the radio filters.
+        """The (start, end) ranges of plan's arrival indexes, from i on, that the radio filters,
+        once filter_frame has filtered arrival i.
 
         The radio sees only each arrival's link source and dispatch kind
         (plan's times, sources and kinds columns; kinds index
         KIND_CODES).  The caller drops the ranges unseen, so no frame or
-        tick between them may change what the stack does with them.
-        Empty lets arrival i through; this stack filters nothing.
+        tick between them may change what the stack does with them.  Here: arrival i alone.
         """
-        return ()
+        return ((i, i + 1),)
 
     def filter_frame(self, source: int, kind: FragmentKind, now: float) -> bool:
         """The radio filter for one frame: True drops it; this stack filters nothing."""
@@ -396,7 +397,9 @@ class ReceiverStack:
         )
 
     def tick(self, now: float) -> list[ReassemblySession]:
-        """Evict expired sessions."""
+        """Evict expired sessions; a tick that evicts nothing only moves the occupancy clock."""
+        if not self.evictions and self.buffer.idle_tick(now):
+            return []
         self.buffer.advance(now)
         evicted = self.buffer.evict_expired(now)
         for session in evicted:
@@ -442,8 +445,9 @@ class PredictiveCsmStack(ReceiverStack):
       injection or the tail of traffic that already failed.
     - When a source crosses onto the blacklist its open sessions are
       purged immediately (counted as timeouts, with no extra penalty).
-    - The radio check is filter_frame: first in admit(), and in
-      filter_run for the arrival that opens a block episode.
+    - The radio check is filter_frame, first in admit() and run once
+      per arrival by the simulator; filter_run then hands over the rest
+      of the block episode it opens.
     """
 
     SIGNER = "chain"
@@ -497,10 +501,7 @@ class PredictiveCsmStack(ReceiverStack):
         return True
 
     def filter_run(self, plan, i: int) -> Sequence[tuple[int, int]]:
-        """filter_frame for arrival i, then the rest of its source's block episode at once.
-
-        On an arrival filter_frame has just filtered it sets nothing new
-        for that arrival.
+        """The block episode of arrival i, which filter_frame has just filtered, at once.
 
         A blocked source holds no session, since every move into a block
         purges its sessions (_purge_if_blocked, from _screen, _rejected
@@ -513,8 +514,6 @@ class PredictiveCsmStack(ReceiverStack):
         one write, with what per-frame calls would have left.
         """
         times, source = plan.times, plan.sources[i]
-        if not self.filter_frame(source, KIND_CODES[plan.kinds[i]], times[i]):
-            return ()
         block = self.engine.params.block_duration
         starts, ends = plan.runs(source)
         r, a, ranges = bisect_right(starts, i) - 1, i, []

@@ -32,7 +32,7 @@ meaningful, and it splits a run in three:
   pass, and keep the ledgers and records; no event schedules another.
   Housekeeping ticks fall on whole seconds, after any arrival at the
   same instant, while the buffer holds an open session; a tick that
-  evicts nothing only moves its occupancy clock (buffer.idle_tick).
+  evicts nothing only moves its occupancy clock (ReceiverStack.tick).
 
 A traffic or plan lives as long as its caller keeps it: simulate builds
 a plan per run unless given one, and the command-line sweeps build one
@@ -40,23 +40,23 @@ traffic per seed and traffic world, one plan over it per world, replay
 each plan for every stack and trust cell that shares it, and drop both
 before the next seed.  Nothing caches them across calls.
 
-Every arrival meets the radio prefilter first, which sees only the link
-source and the dispatch kind.  A blocked source holds no session, so
-only its own arrivals change its block: other sources' frames and ticks
-do not.  So the stack's filter_run hands over a blocked source's whole
-block episode at once, as ranges of arrival indexes; each costs one
-slice write to its disposition codes ("untrusted", prefiltered), and no
-fragment or record, and the loop skips its arrivals.  A legit frame
-is its fragment from the plan's arrived table, built once per plan and
-wire format and shared by every run over it; its first gate is the
-radio.  An adversary frame meets the radio first and goes
-through the stack's gates straight from its row of the attack schedule,
-with blob slices for its payload, nonce and signature, in the wire
-shape of the stack under test, and gets a fragment only if a session
-stores it.  A header replay takes its nonce and signature from the
-victim's own signed first fragment.  The blob's bytes are drawn on
-first read, so a schedule the prefilter drops unseen is never drawn,
-and what is drawn stays with the plan for every later run over it.
+Every arrival takes one path: the radio check (the stack's filter_frame),
+which sees only the link source and the dispatch kind, then the gates.
+A blocked source holds no session, so only its own arrivals change its
+block: other sources' frames and ticks do not.  So when the radio drops
+an arrival, the stack's filter_run hands over the rest of its block
+episode at once, as ranges of arrival indexes; each costs one slice
+write to its disposition codes ("untrusted", prefiltered), and the loop
+skips its arrivals.  An arrival the radio lets through goes to the
+stack's gates (admit_fields) as header fields and payload, in the wire
+shape of the stack under test: a legit one from its sender's signed
+fragment with the payload the channel left, an adversary one from its
+schedule row, with blob slices for its payload, nonce and signature (a
+header replay's nonce and signature are its victim's).  It becomes a
+Fragment only if a session stores it, a legit one once per plan and
+wire format.  The blob's bytes are drawn on first read, so a schedule
+the prefilter drops unseen is never drawn, and what is drawn stays with
+the plan for every later run over it.
 
 A run's records are FrameRecords: the plan's arrival columns plus one
 byte per arrival for this run's disposition.  A FrameRecord is built
@@ -74,7 +74,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from itertools import chain, compress, repeat, starmap
-from operator import add, ge, lt, ne, not_
+from operator import add, ge, lt, ne
 from typing import NamedTuple
 
 from .attacks import AttackSchedule, ScheduledSend, build_attack, sort_columns
@@ -92,7 +92,7 @@ from .frag_codec import (
     header_length,
 )
 from .hash_chain import ChainLinks, seed_chain, sign_fragments
-from .reassembly import FILTERED, HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
+from .reassembly import HASH_CPU_MS, AdmitResult, AdmitStatus, DropReason
 
 PROPAGATION_DELAY = 0.001
 TICK_INTERVAL = 1.0
@@ -326,7 +326,8 @@ class ArrivalPlan(NamedTuple):
     traffic: ArrivalPlan | None
     # signer -> _Wire, filled by wire() on first use
     wires: dict
-    # signer -> received legit fragments, filled by arrivals() on first use
+    # signer -> per legit fragment, the Fragment a session stored for it, or None
+    # until a run stores it; filled by simulate's runs, and shared by later ones
     arrived: dict
     # source -> its runs, filled by runs() on first use
     source_runs: dict
@@ -345,23 +346,6 @@ class ArrivalPlan(NamedTuple):
         built = self.wires.get(signer)
         if built is None:
             built = self.wires[signer] = _build_wire(self, signer)
-        return built
-
-    def arrivals(self, signer: str | None) -> list[Fragment | None]:
-        """Each legit fragment by index as the root gets it under signer, or None if lost.
-
-        Corrupted as the channel did, with its arrival index as record;
-        every run over the plan shares them, and no stack writes to one.
-        """
-        built = self.arrived.get(signer)
-        if built is None:
-            sent, corrupt, refs = self.wire(signer).fragments, self.legit_corrupt, self.refs
-            built = self.arrived[signer] = [None] * len(sent)
-            # a legit arrival's code is "stored" (0), a hostile one's HOSTILE
-            for i in compress(range(len(refs)), map(not_, self.codes)):
-                frag = sent[refs[i]]
-                payload = _corrupt_payload(frag.payload) if corrupt[refs[i]] else frag.payload
-                built[refs[i]] = Fragment(frag.header, payload, self.sources[i], i)
         return built
 
     def runs(self, source: int) -> tuple[array, array]:
@@ -528,7 +512,6 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     else:
         plan.check(cfg, seed)
     stack = STACKS[cfg.stack].from_config(cfg, trace)
-    with_ext = stack.SIGNER is not None
     wire = plan.wire(stack.SIGNER)
     stack.links = wire.links
 
@@ -546,13 +529,9 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     buffer = stack.buffer
     duration = cfg.duration
     next_tick = TICK_INTERVAL
-    filter_run = stack.filter_run
-    header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
-    arrived, admit = plan.arrivals(stack.SIGNER), stack.admit
+    filter_frame, filter_run = stack.filter_frame, stack.filter_run
+    admit = _row_admitter(stack, plan, root)
     dropped, delivered_status = AdmitStatus.DROPPED, AdmitStatus.DELIVERED  # read once
-    if plan.attack is not None:
-        payload_len = plan.attack.payload_len
-        admit_emission = _emission_admitter(stack, plan, with_ext, wire.fragments)
     times, sources, kinds, refs, origins = (
         plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
     codes = bytearray(plan.codes)
@@ -577,30 +556,17 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
             if not buffer.sessions:
                 next_tick = math.ceil(now / TICK_INTERVAL) * TICK_INTERVAL
                 break
-            if not buffer.idle_tick(next_tick):
-                _mark(stack.tick(next_tick), _TIMEOUT)
+            _mark(stack.tick(next_tick), _TIMEOUT)
             next_tick += TICK_INTERVAL
 
-        # one radio check per arrival: admit()'s first, or filter_run's before a hostile read
-        code, ref = kinds[i], refs[i]
-        if ref >= 0:
-            frag = arrived[ref]
-            result = admit(frag, now)
-            ranges = filter_run(plan, i) if result is FILTERED else ()
-        else:
-            ranges = filter_run(plan, i)
-        if ranges:
+        # the one radio check; a drop hands over the rest of the block episode
+        if filter_frame(sources[i], KIND_CODES[kinds[i]], now):
             # address-filtered in the radio: no RX cost, no CPU
-            for a, b in ranges:
+            for a, b in filter_run(plan, i):
                 codes[a:b] = taken[a:b] = codes[a:b].translate(_PREFILTER)
             continue
 
-        # airtime() inlined: the RX charge of the frame's header and payload
-        if ref >= 0:
-            root.rx_s += (header_lens[code] + len(frag.payload)) * 8 / BITRATE
-        else:
-            root.rx_s += (header_lens[code] + payload_len[~ref]) * 8 / BITRATE
-            result = admit_emission(~ref, i, now)
+        result = admit(refs[i], i, now)
         root.cpu_ms += result.cpu_ms
 
         if result.status is dropped:
@@ -621,8 +587,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
         i += 1
 
     while next_tick <= duration and buffer.sessions:
-        if not buffer.idle_tick(next_tick):
-            _mark(stack.tick(next_tick), _TIMEOUT)
+        _mark(stack.tick(next_tick), _TIMEOUT)
         next_tick += TICK_INTERVAL
 
     # read before flush: a block that only starts at the end of the run is no identification
@@ -651,15 +616,33 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     )
 
 
-def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fragment]):
-    """admit(k, record, now): adversary emission k, arrival record, through stack's gates.
+_NO_EXT = (None, None, None)  # a frame without the extension: no nonce, no signature
 
-    Every emission goes to stack.admit_fields as its row and blob slices (one
-    with a victim carries the signed nonce and signature of legit[victim])
-    and becomes a Fragment only if a session stores it.  A slice past the
-    bytes drawn so far draws up to its end first.
+
+def _row_admitter(stack, plan: ArrivalPlan, root: EnergyLedger):
+    """admit(row, record, now): arrival record, whose plan ref is row, heard by root and put
+    through stack's gates.
+
+    Charges the frame's airtime to root's RX, and returns what
+    stack.admit_fields makes of its header fields and payload.  A legit
+    row (row >= 0) reads them from its fragment as stack's senders sign
+    it, with the payload the channel left; the Fragment a session stores
+    for it is built once per plan and signer, in plan.arrived.  An
+    adversary row (~row, its emission) reads its row of the attack
+    schedule and blob slices (one with a victim carries the signed nonce
+    and signature of that legit fragment) and becomes a Fragment only if
+    a session stores it.  A slice past the bytes drawn so far draws up to
+    its end first.
     """
-    attack, corrupt = plan.attack, plan.attack_corrupt
+    signer = stack.SIGNER
+    with_ext = signer is not None
+    legit = plan.wire(signer).fragments
+    stored = plan.arrived.get(signer) or plan.arrived.setdefault(signer, [None] * len(legit))
+    legit_corrupt, attack_corrupt, row_sources, row_kinds = (
+        plan.legit_corrupt, plan.attack_corrupt, plan.sources, plan.kinds)
+    header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
+    # a plan with no adversary has no adversary row to read
+    attack = plan.attack or AttackSchedule(None)
     blob, fill, victims, sources, kinds = (
         attack.blob, attack.fill, attack.victims, attack.sources, attack.kinds)
     sizes, tags, offsets = attack.sizes, attack.tags, attack.offsets
@@ -667,39 +650,55 @@ def _emission_admitter(stack, plan: ArrivalPlan, with_ext: bool, legit: list[Fra
         attack.payload_at, attack.payload_len, attack.nonce_at, attack.sig_at)
     admit_fields = stack.admit_fields
     made = len(blob)  # only fill grows the blob
-    # the emission in hand: admit_fields calls build() only inside admit()
-    source = kind = size = tag = offset = nonce = signature = payload = arrival = None
+    # the row in hand: admit_fields calls build() only inside admit()
+    ref = header = source = kind = size = tag = offset = nonce = sig = payload = arrival = None
 
     def build() -> Fragment:
-        return _materialize_emission(source, kind, size, tag, offset, nonce, signature, payload,
-                                     arrival)
+        if ref < 0:
+            return _materialize_emission(source, kind, size, tag, offset, nonce, sig, payload,
+                                         arrival)
+        frag = stored[ref]
+        if frag is None:
+            frag = stored[ref] = Fragment(header, payload, source, arrival)
+        return frag
 
-    def admit(k: int, record: int, now: float) -> AdmitResult:
-        nonlocal made, source, kind, size, tag, offset, nonce, signature, payload, arrival
-        at = payload_at[k]
-        end = at + payload_len[k]
-        if end > made:
-            made = fill(end)
-        payload = bytes(blob[at:end])
-        if corrupt[k]:
-            payload = _corrupt_payload(payload)
-        nonce = signature = None
-        if victims[k] >= 0:
-            ext = legit[victims[k]].header.ext
-            if ext is not None:
-                nonce, signature = ext.nonce, ext.signature
-        elif with_ext:
-            end = sig_at[k] + 8  # an emission's signature is its last draw
+    def admit(row: int, record: int, now: float) -> AdmitResult:
+        nonlocal made, ref, header, source, kind, size, tag, offset, nonce, sig, payload, arrival
+        if row >= 0:
+            sent = legit[row]
+            kind, size, tag, offset, ext = header = sent.header
+            payload = sent.payload
+            if legit_corrupt[row]:  # as the channel left it, or as an earlier run stored it
+                payload = _corrupt_payload(payload) if stored[row] is None else stored[row].payload
+            _, nonce, sig = ext or _NO_EXT
+            source, code = row_sources[record], row_kinds[record]
+        else:
+            k = ~row
+            at = payload_at[k]
+            end = at + payload_len[k]
             if end > made:
                 made = fill(end)
-            at = nonce_at[k]
-            nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
-            at = sig_at[k]
-            signature = bytes(blob[at : at + 8])
-        source, kind, size, tag, offset, arrival = (
-            sources[k], KIND_CODES[kinds[k]], sizes[k], tags[k], offsets[k], record)
-        return admit_fields(source, kind, size, tag, offset, nonce, signature, payload, now,
-                            build)
+            payload = bytes(blob[at:end])
+            if attack_corrupt[k]:
+                payload = _corrupt_payload(payload)
+            nonce = sig = None
+            if victims[k] >= 0:
+                _, nonce, sig = legit[victims[k]].header.ext or _NO_EXT
+            elif with_ext:
+                end = sig_at[k] + 8  # an emission's signature is its last draw
+                if end > made:
+                    made = fill(end)
+                at = nonce_at[k]
+                nonce = bytes(blob[at : at + 4]) if at >= 0 else b""
+                at = sig_at[k]
+                sig = bytes(blob[at : at + 8])
+            code = kinds[k]
+            source, kind, size, tag, offset = (
+                sources[k], KIND_CODES[code], sizes[k], tags[k], offsets[k])
+        ref, arrival = row, record
+        # airtime() inlined: the RX charge of the frame's header and payload
+        root.rx_s += (header_lens[code] + len(payload)) * 8 / BITRATE
+        return admit_fields(source, kind, size, tag, offset, nonce, sig, payload, now, build)
 
     return admit
 

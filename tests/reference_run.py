@@ -6,9 +6,10 @@ the receiver gets no chain links, so it hashes every link.  Every hostile
 frame is built from its row of the schedule, once the whole blob is
 drawn.  Every arrival goes to stack.admit, whose first gate is the radio
 filter.  A full tick runs at every whole second up to the duration, after
-any arrival at the same instant.  Evictions are drained after each admit,
-and the identification is read before the flush.  Energy is summed in
-send, emission and arrival order.  Not collected by pytest.
+any arrival at the same instant: the buffer never reports an idle tick.
+Evictions are drained after each admit, and the identification is read
+before the flush.  Energy is summed in send, emission and arrival order.
+Not collected by pytest.
 """
 
 from collections import defaultdict
@@ -30,6 +31,7 @@ _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
 def reference_run(cfg, plan) -> RunResult:
     """cfg's stack over plan, one frame and one whole-second tick at a time."""
     stack = STACKS[cfg.stack].from_config(cfg, True)
+    stack.buffer.idle_tick = lambda now: False
     with_ext = stack.SIGNER is not None
     attacker = plan.attacker
     ledgers = {ROOT: EnergyLedger(), **{node: EnergyLedger() for node in plan.sent_fragments}}

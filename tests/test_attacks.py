@@ -1,5 +1,6 @@
 """Adversary schedule builders: geometry, counts, determinism, dispatch, frames built."""
 
+import dataclasses
 import pathlib
 import random
 import time
@@ -28,7 +29,7 @@ from pcsm.frag_codec import (
     FragmentKind,
     fragment_packet,
 )
-from pcsm.simulator import _corrupt_payload, _emission_admitter, plan_arrivals, simulate
+from pcsm.simulator import EnergyLedger, _corrupt_payload, _row_admitter, plan_arrivals, simulate
 
 REPO = pathlib.Path(__file__).parent.parent
 
@@ -522,6 +523,9 @@ def _ref_materialize(em, with_ext, legit):
 class _BuildingStack:
     """Gates that let every frame through and return the Fragment it would be stored as."""
 
+    def __init__(self, signer):
+        self.SIGNER = signer
+
     @staticmethod
     def admit_fields(src, kind, size, tag, offset, nonce, signature, payload, now, build):
         return build()
@@ -531,19 +535,28 @@ class _BuildingStack:
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
     """Header (ext nonce and signature included), payload as the channel left it, source
-    and record for every emission the admitter hands to the gates."""
+    and record for every emission and every legit arrival the admitter hands to the gates."""
     cfg = load_config(REPO / f"configs/pcsm-{kind}.yaml")
+    cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, corruption_rate=0.2))
     ems = _rows(plan_arrivals(cfg, seed).attack)
     assert ems
     for signer in (None, "chain", "mac"):
         # a fresh plan per signer, so that its admitter draws every byte it reads
         plan = plan_arrivals(cfg, seed)
         legit, with_ext = plan.wire(signer).fragments, signer is not None
-        admit = _emission_admitter(_BuildingStack, plan, with_ext, legit)
+        admit = _row_admitter(_BuildingStack(signer), plan, EnergyLedger())
         for i, em in enumerate(ems):
-            got = admit(i, 1000 + i, 0.0)
+            got = admit(~i, 1000 + i, 0.0)
             want = _ref_materialize(em, with_ext, legit)
             if plan.attack_corrupt[i]:
                 want.payload = _corrupt_payload(want.payload)
             assert (got.header, got.payload, got.source, got.record) == (
                 want.header, want.payload, want.source, 1000 + i)
+        # the legit arrivals, clean and corrupted, as the root gets them
+        rows = [(i, ref) for i, ref in enumerate(plan.refs) if ref >= 0]
+        assert {plan.legit_corrupt[ref] for _, ref in rows} == {0, 1}
+        for i, ref in rows:
+            sent = legit[ref]
+            payload = _corrupt_payload(sent.payload) if plan.legit_corrupt[ref] else sent.payload
+            got = admit(ref, i, 0.0)
+            assert got == Fragment(sent.header, payload, plan.sources[i], i)

@@ -3,8 +3,6 @@
 import hmac
 import random
 import struct
-from array import array
-from types import SimpleNamespace
 
 import pytest
 
@@ -86,9 +84,7 @@ def test_vanilla_duplicate_open_frag1_is_structural_drop():
 
 def test_vanilla_never_prefilters():
     stack = VanillaStack()
-    plan = SimpleNamespace(times=array("d", [0.0, 0.5]), sources=array("q", [9, 9]),
-                           kinds=array("B", [0, 1]))
-    assert not stack.filter_run(plan, 0)
+    assert not any(stack.filter_frame(9, kind, t) for kind in FragmentKind for t in (0.0, 0.5))
 
 
 # ---------------------------------------------------------------- csm-like

@@ -1,11 +1,11 @@
 """Admission pipeline tests: gates, slots, ledger, evictions, accounting."""
 
 import math
-from array import array
 from dataclasses import astuple
 
+import pytest
+
 from pcsm.frag_codec import (
-    KIND_CODES,
     ExtensionFields,
     Fragment,
     FragmentHeader,
@@ -163,6 +163,32 @@ def test_timeout_evicts_incomplete_only():
     assert stack.tick(150.0) == []
 
 
+@pytest.mark.parametrize("sent,now,evicted", [(3, 105.0, []), (1, 105.0, []),
+                                               (1, 111.0, [(8, 14)])],
+                         ids=["empty_buffer", "inside_deadline", "past_deadline"])
+def test_a_tick_that_evicts_nothing_leaves_what_the_full_pass_leaves(sent, now, evicted):
+    """tick() returns early when the buffer's idle_tick finds nothing to evict; a twin
+    whose idle_tick always says no takes the full pass, and both must end alike."""
+    ends, full_passes = [], []
+    for full in (False, True):
+        stack = _stack(timeout=10.0)
+        if full:
+            stack.buffer.idle_tick = lambda now: False
+        for i, f in enumerate(_train(bytes(200), 14, 8, bytes(4))[:sent]):
+            stack.admit(f, 100.0 + 0.1 * i)
+        # evict_expired runs only in the full pass
+        passes, evict = [], stack.buffer.evict_expired
+        stack.buffer.evict_expired = lambda now, passes=passes, evict=evict: (
+            passes.append(now) or evict(now))
+        out = [(session.source, session.tag) for session in stack.tick(now)]
+        ends.append((out, list(stack.buffer.sessions), stack.buffer.mean_availability().hex(),
+                     astuple(stack.engine.states[8])))
+        full_passes.append(passes)
+    assert ends[0] == ends[1]
+    assert ends[0][0] == evicted
+    assert full_passes == [[now] if evicted else [], [now]]
+
+
 def test_blacklist_purges_open_sessions_and_filters_frames():
     stack = _stack()
     frags = _train(bytes(200), 13, 9, bytes(4))
@@ -308,17 +334,6 @@ def test_prefilter_passes_unknown_and_unblocked_sources_without_state():
     assert idle.engine.states[4].last_frag1_time is None
 
 
-class _OneArrival:
-    """The plan columns filter_run reads, for a plan of one arrival."""
-
-    def __init__(self, source, kind, now):
-        self.times, self.sources = array("d", [now]), array("i", [source])
-        self.kinds = array("B", [KIND_CODES.index(kind)])
-
-    def runs(self, source):
-        return array("i", [0]), array("i", [1])
-
-
 def _oversized_frag1(source):
     # it carries more bytes than its datagram declares, so admit() drops it as a
     # DUPLICATE after the radio check and before any gate that reads trust state
@@ -329,7 +344,7 @@ def _oversized_frag1(source):
 def test_radio_check_passes_an_unknown_source_and_makes_no_state():
     stack = _stack()
     for kind in FragmentKind:
-        assert stack.filter_run(_OneArrival(5, kind, 100.0), 0) == ()
+        assert not stack.filter_frame(5, kind, 100.0)
     assert stack.admit(_oversized_frag1(5), 100.0).reason is DropReason.DUPLICATE
     assert stack.engine.states == {}
 
@@ -340,7 +355,7 @@ def test_radio_check_passes_a_lapsed_block_and_leaves_its_state_untouched():
     before = astuple(stack.engine.states[9])
     for kind in FragmentKind:
         # the block lapses at its expiry instant
-        assert stack.filter_run(_OneArrival(9, kind, 200.0), 0) == ()
+        assert not stack.filter_frame(9, kind, 200.0)
     assert stack.admit(_oversized_frag1(9), 200.0).reason is DropReason.DUPLICATE
     assert astuple(stack.engine.states[9]) == before
     assert stack.engine.states.keys() == {9}

@@ -18,7 +18,6 @@ from pcsm.baselines import fragment_mac
 from pcsm.cli import _trace_lines
 from pcsm.config import STACKS, load_config, parse_config
 from pcsm.frag_codec import (
-    KIND_CODES,
     MAX_FRAGMENT_PAYLOAD,
     ExtensionFields,
     FragmentHeader,
@@ -27,7 +26,7 @@ from pcsm.frag_codec import (
 )
 from pcsm.hash_chain import ChainLinks, chain_tag, seed_chain
 from pcsm.metrics import FINAL_DISPOSITIONS, collect
-from pcsm.reassembly import PredictiveCsmStack
+from pcsm.reassembly import PredictiveCsmStack, ReassemblyBuffer, ReceiverStack
 from pcsm.simulator import HOSTILE, _legit_schedule, legit_traffic, plan_arrivals, simulate
 from reference_run import assert_matches_reference
 
@@ -260,17 +259,18 @@ def _starved_session(timeout, duration):
 )
 def test_open_session_times_out_at_first_whole_second_tick_past_deadline(timeout, evicted_at,
                                                                         monkeypatch):
-    ran, tick = [], PredictiveCsmStack.tick
-    monkeypatch.setattr(PredictiveCsmStack, "tick",
-                        lambda self, now: ran.append(now) or tick(self, now))
+    # evict_expired runs only in a tick's full pass, never on an idle tick's early return
+    ran, evict = [], ReassemblyBuffer.evict_expired
+    monkeypatch.setattr(ReassemblyBuffer, "evict_expired",
+                        lambda self, now: ran.append(now) or evict(self, now))
     got = assert_matches_reference(*_starved_session(timeout, duration=100.0))
     first = got["records"][0]
     assert first.time == 61.251
     assert first.disposition == "timeout"
     late_penalties = [when for when, node, _ in got["trust_history"] if node == 1 and when > 62.0]
     assert late_penalties == [evicted_at]
-    # the session opens at 61.251 s: simulate() runs only the tick past its deadline,
-    # which evicts it, and the reference then a full tick at every whole second
+    # the session opens at 61.251 s: simulate() takes the full pass only at the tick past
+    # its deadline, which evicts it, and the reference then at every whole second
     assert ran == [evicted_at] + [float(t) for t in range(1, 101)]
 
 
@@ -319,11 +319,34 @@ def test_shared_plan_reproduces_the_pinned_digest(case):
     assert _digest(simulate(cfg, seed, trace=True, plan=plan)) == DIGESTS[case]
 
 
+def test_simulate_sends_every_arrival_through_admit_fields_and_never_admit(monkeypatch):
+    """One path into the gates: legit and hostile arrivals alike reach admit_fields from
+    the row admitter; admit() is the adapter for library callers only."""
+    cfg = load_config(REPO / "configs/pcsm-burst_injection.yaml")
+    admitted, gated = [], []
+    admit, gates = PredictiveCsmStack.admit, ReceiverStack.admit_fields
+    monkeypatch.setattr(PredictiveCsmStack, "admit",
+                        lambda self, frag, now: admitted.append(frag) or admit(self, frag, now))
+    monkeypatch.setattr(ReceiverStack, "admit_fields",
+                        lambda self, *fields: gated.append(fields[0]) or gates(self, *fields))
+    r = simulate(cfg, 1)
+    assert admitted == []
+    heard = [rec for rec in r.records if not rec.prefiltered]
+    assert len(gated) == len(heard)
+    assert {rec.origin == cfg.attack.attacker for rec in heard} == {False, True}
+
+
 def _schedule_bytes(schedule):
     """Every column of an attack schedule, and its fully drawn blob, as bytes."""
     schedule.fill(schedule.drawn)
     return {name: bytes(value) for name, value in vars(schedule).items()
             if isinstance(value, (array, bytearray))}
+
+
+def _stored_legit(plan):
+    """Per signer, each legit fragment a run over plan has stored, by value, or None."""
+    return {signer: [f and (f.header, f.payload, f.source, f.record) for f in stored]
+            for signer, stored in plan.arrived.items()}
 
 
 def test_replaying_a_plan_leaves_it_unchanged():
@@ -334,10 +357,15 @@ def test_replaying_a_plan_leaves_it_unchanged():
     trust = dataclasses.replace(a.trust, forgetting_factor=0.7, threshold=0.2)
     cells = [dataclasses.replace(a, name=stack, stack=stack) for stack in STACKS]
     cells.append(dataclasses.replace(a, name="other", trust=trust))
-    alone = {cell.name: _digest(simulate(cell, 3, trace=True)) for cell in cells}
+    # each cell alone on a fresh plan, and the legit fragments those runs stored, united
+    alone, stored = {}, {}
+    for cell in cells:
+        fresh = plan_arrivals(a, 3)
+        alone[cell.name] = _digest(simulate(cell, 3, trace=True, plan=fresh))
+        for signer, frags in _stored_legit(fresh).items():
+            stored[signer] = [x or y for x, y in zip(stored.get(signer, frags), frags)]
     # a twin's, so that the replays draw each plan's blob on first read
-    twin = plan_arrivals(a, 3)
-    schedule = _schedule_bytes(twin.attack)
+    schedule = _schedule_bytes(plan_arrivals(a, 3).attack)
     for order in (cells, cells[::-1]):
         plan = plan_arrivals(a, 3)
         before = _plan_rows(plan), bytes(plan.legit_corrupt), bytes(plan.attack_corrupt)
@@ -349,17 +377,13 @@ def test_replaying_a_plan_leaves_it_unchanged():
         assert (_plan_rows(plan), bytes(plan.legit_corrupt), bytes(plan.attack_corrupt)) == before
         assert _schedule_bytes(plan.attack) == schedule
         assert all(origin == a.attack.attacker for _, _, _, ref, origin, _ in before[0] if ref < 0)
-        # Fragment is mutable: no run may have written to the legit fragments every run shares
-        assert plan.arrived.keys() == {None, "chain", "mac"}
-        for signer, arrived in plan.arrived.items():
-            fresh = twin.arrivals(signer)
-            assert sum(frag is not None for frag in arrived) == sum(r >= 0 for r in plan.refs)
-            assert any(f.payload != sent.payload
-                       for f, sent in zip(arrived, plan.wire(signer).fragments) if f)
-            assert [None if f is None else (f.header, f.payload, f.source, f.record)
-                    for f in arrived] == [None if f is None else
-                                          (f.header, f.payload, f.source, f.record)
-                                          for f in fresh]
+        # Fragment is mutable: no run may have written to the legit fragments later runs share
+        assert _stored_legit(plan) == stored
+    assert stored.keys() == {None, "chain", "mac"}
+    # a corrupted payload fails the MAC, so only the other two store one
+    for signer in (None, "chain"):
+        sent = plan.wire(signer).fragments
+        assert any(f and f[1] != sent[ref].payload for ref, f in enumerate(stored[signer]))
 
 
 def test_a_sensitivity_plan_peaks_within_its_memory_budget():
@@ -373,17 +397,6 @@ def test_a_sensitivity_plan_peaks_within_its_memory_budget():
         tracemalloc.stop()
     assert len(plan.attack) > 25_000
     assert peak < 4.5e6
-
-
-def test_plan_arrivals_are_time_sorted_and_match_the_records():
-    cfg = load_config(REPO / "configs/vanilla-late_phase.yaml")
-    plan = plan_arrivals(cfg, 2)
-    rows = _plan_rows(plan)
-    assert [row[0] for row in rows] == sorted(row[0] for row in rows)
-    records = simulate(cfg, 2, plan=plan).records
-    assert [(t, source, origin, KIND_CODES[kind]) for t, source, kind, _, origin, _ in rows] == [
-        (r.time, r.source, r.origin, r.kind) for r in records
-    ]
 
 
 @pytest.mark.parametrize(
@@ -461,14 +474,14 @@ def test_replayed_header_is_the_victims_signed_first_fragment(stack, monkeypatch
         assert (nonce, signature) == (victim.nonce, sig)
 
 
-def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1)):
-    """cfg's plan for seed with hand-built adversary arrivals.
+def _hand_plan(cfg, seed, rows, legit_kinds=(0, 1), traffic=None):
+    """cfg's plan for seed, over traffic if given, with hand-built adversary arrivals.
 
     rows are (arrival time, source, kind code), each a forged fragment
     from the attacker (a FragN is an orphan); legit arrivals of other
     kinds than legit_kinds are left out.
     """
-    base = plan_arrivals(cfg, seed)
+    base = plan_arrivals(cfg, seed, traffic)
     attack = AttackSchedule(random.Random(0))
     for t, source, kind in rows:
         attack.add(t, kind, source, 200, 0x8000 + len(attack), 12 * kind, attack.draw(96), 96,
@@ -534,6 +547,12 @@ def _fast_forward_case(case):
         # node 3 is blocked at t = 14.5 as node 2 is at 14; then they alternate
         rows = sorted(blocked + _orphans(3, 10.5, 5)
                       + [(15.0 + 0.25 * k, 2 + k % 2, k // 2 % 2) for k in range(200)])
+    elif case == "shared_traffic":
+        # a run over the traffic alone has stored its legit fragments at their arrival
+        # indexes there; the attacker's ten frames before them shift every index here
+        traffic = legit_traffic(cfg, 1)
+        simulate(dataclasses.replace(cfg, attack=None), 1, plan=traffic)
+        return cfg, _hand_plan(cfg, 1, blocked + _orphans(2, 15.0, 5), traffic=traffic)
     elif case == "tick_block":
         # node 3's one accepted Frag1 (t = 20) opens a session, five anomalous
         # ones take its score to 0.325, and the 31 s tick that evicts the session
@@ -548,7 +567,7 @@ def _fast_forward_case(case):
 
 
 @pytest.mark.parametrize("case", ["long_run", "lapse", "lapse_in_a_run", "tick", "two_sources",
-                                  "tick_block", "spoofed"])
+                                  "shared_traffic", "tick_block", "spoofed"])
 def test_filtered_runs_equal_the_reference_run(case, monkeypatch):
     cfg, plan = _fast_forward_case(case)
     episodes = _record_episodes(monkeypatch)
@@ -578,6 +597,9 @@ def test_filtered_runs_equal_the_reference_run(case, monkeypatch):
         assert all(b - a == 1 for ep in episodes for a, b in ep)
         (first2, last2), (first3, last3) = sorted(spans, key=lambda span: sources[span[0]])
         assert first2 < first3 < last2 < last3
+    elif case == "shared_traffic":
+        assert [(times[first], times[last]) for first, last in spans] == [(15.0, 19.0)]
+        assert got["stored"] and all(plan.refs[record] >= 0 for record, *_ in got["stored"])
     elif case == "tick_block":
         assert [r.disposition for r in records if r.source == 3][:6] == ["timeout"] + [
             "untrusted"] * 5
