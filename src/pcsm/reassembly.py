@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import NamedTuple
 
 from .frag_codec import FRAG1, KIND_CODES, NONCE_LEN, OFFSET_UNIT, Fragment, FragmentKind
@@ -64,8 +65,8 @@ class AdmitResult(NamedTuple):
     reason: DropReason | None = None
     payload: bytes | None = None
     cpu_ms: float = 0.0
-    # fragments released by a delivery, for the caller's accounting
-    fragments: Sequence[Fragment] = ()
+    # the delivered session's (offset, payload, record) rows, for the caller's accounting
+    fragments: Sequence[tuple[int, bytes, int | None]] = ()
 
 
 @lru_cache(maxsize=64)
@@ -140,8 +141,9 @@ class ReassemblySession:
     expected_size: int
     started_at: float
     chain: HashChainState | None
-    # stored in arrival order; no two share a byte
-    fragments: list[Fragment] = field(default_factory=list)
+    # (offset in OFFSET_UNITs, payload, record) per stored frame, in arrival order;
+    # no two share a byte
+    fragments: list[tuple[int, bytes, int | None]] = field(default_factory=list)
     received_bytes: int = 0
 
     def fits(self, offset: int, length: int) -> bool:
@@ -151,23 +153,22 @@ class ReassemblySession:
         end = start + length
         if end > self.expected_size:
             return False
-        for stored in self.fragments:
-            at = stored.header.datagram_offset * OFFSET_UNIT
-            if at < end and start < at + len(stored.payload):
+        for at, payload, _ in self.fragments:
+            at *= OFFSET_UNIT
+            if at < end and start < at + len(payload):
                 return False
         return True
 
-    def store(self, frag: Fragment) -> None:
-        self.fragments.append(frag)
-        self.received_bytes += len(frag.payload)
+    def store(self, offset: int, payload: bytes, record: int | None) -> None:
+        self.fragments.append((offset, payload, record))
+        self.received_bytes += len(payload)
 
     @property
     def complete(self) -> bool:
         return self.received_bytes == self.expected_size
 
     def assemble(self) -> bytes:
-        ordered = sorted(self.fragments, key=lambda f: f.header.datagram_offset)
-        return b"".join(f.payload for f in ordered)
+        return b"".join(payload for _, payload, _ in sorted(self.fragments, key=itemgetter(0)))
 
 
 class ReassemblyBuffer:
@@ -238,9 +239,10 @@ class ReceiverStack:
     """The admission pipeline every receiver stack runs; subclasses add gates.
 
     admit_fields() holds the one fixed gate order, over a frame's header
-    fields and payload, and builds the frame's Fragment only to store it.
-    The simulator calls it for each arrival the radio check (filter_frame)
-    lets through; admit() runs a library caller's Fragment through both.
+    fields and payload; a session stores a frame as its offset, payload
+    and record, never as a Fragment.  The simulator calls it for each
+    arrival the radio check (filter_frame) lets through; admit() runs a
+    library caller's Fragment through both.
     Every gate here is open and every outcome hook a no-op, so this class
     as it stands is the vanilla stack.  An open-session collision is a
     REPLAY on a stack with a replay ledger; without one it cannot be told
@@ -327,16 +329,17 @@ class ReceiverStack:
         nonce, signature = (None, None) if ext is None else (ext.nonce, ext.signature)
         return self.admit_fields(
             frag.source, header.kind, header.datagram_size, header.datagram_tag,
-            header.datagram_offset, nonce, signature, frag.payload, now, lambda: frag)
+            header.datagram_offset, nonce, signature, frag.payload, now, frag.record)
 
     def admit_fields(self, src: int, kind: FragmentKind, size: int, tag: int, offset: int,
                      nonce: bytes | None, signature: bytes | None, payload: bytes, now: float,
-                     build) -> AdmitResult:
+                     record: int | None) -> AdmitResult:
         """The gate sequence, over one frame's header fields and payload.
 
         nonce and signature are the extension's, both None on a frame
-        without one.  build() returns the frame as a Fragment; it is
-        called only when a session stores the frame.
+        without one.  record is the caller's name for the frame
+        (Fragment.record); a session that stores the frame keeps it with
+        the frame's offset and payload.
         """
         buffer = self.buffer
         sessions = buffer.sessions
@@ -367,7 +370,7 @@ class ReceiverStack:
             if chain is not None:
                 cpu += HASH_CPU_MS
             session = ReassemblySession(src, tag, size, now, chain)
-            session.store(build())
+            session.store(offset, payload, record)
             if not session.complete:
                 buffer.open(session)
                 return _stored(cpu)
@@ -386,7 +389,7 @@ class ReceiverStack:
             if not session.fits(offset, len(payload)):
                 return _dropped(DropReason.DUPLICATE, cpu)
             session.chain = chain
-            session.store(build())
+            session.store(offset, payload, record)
             if not session.complete:
                 return _stored(cpu)
             buffer.close(session)

@@ -48,15 +48,15 @@ an arrival, the stack's filter_run hands over the rest of its block
 episode at once, as ranges of arrival indexes; each costs one slice
 write to its disposition codes ("untrusted", prefiltered), and the loop
 skips its arrivals.  An arrival the radio lets through goes to the
-stack's gates (admit_fields) as header fields and payload, in the wire
-shape of the stack under test: a legit one from its sender's signed
-fragment with the payload the channel left, an adversary one from its
-schedule row, with blob slices for its payload, nonce and signature (a
-header replay's nonce and signature are its victim's).  It becomes a
-Fragment only if a session stores it, a legit one once per plan and
-wire format.  The blob's bytes are drawn on first read, so a schedule
-the prefilter drops unseen is never drawn, and what is drawn stays with
-the plan for every later run over it.
+stack's gates (admit_fields) as header fields, payload and its arrival
+index as record, in the wire shape of the stack under test: a legit one
+from its sender's signed fragment with the payload the channel left, an
+adversary one from its schedule row, with blob slices for its payload,
+nonce and signature (a header replay's nonce and signature are its
+victim's).  A session stores a frame as its offset, payload and record,
+so no arrival becomes a Fragment.  The blob's bytes are drawn on first
+read, so a schedule the prefilter drops unseen is never drawn, and what
+is drawn stays with the plan for every later run over it.
 
 A run's records are FrameRecords: the plan's arrival columns plus one
 byte per arrival for this run's disposition.  A FrameRecord is built
@@ -299,9 +299,9 @@ class ArrivalPlan(NamedTuple):
     arrival order, as columns.  A frame's ref is the index of its legit
     fragment, or ~index of its adversary emission.  Build one with
     plan_arrivals; simulate only reads it, except to fill its tables on
-    first use (wires, arrived, source_runs) and to draw adversary bytes
-    on first read.  A plan with an adversary shares the legit part with
-    the plan of its traffic, except arrived: arrival indexes differ.
+    first use (wires, source_runs) and to draw adversary bytes on first
+    read.  A plan with an adversary shares the legit part with the plan
+    of its traffic.
     """
 
     seed: int
@@ -326,9 +326,6 @@ class ArrivalPlan(NamedTuple):
     traffic: ArrivalPlan | None
     # signer -> _Wire, filled by wire() on first use
     wires: dict
-    # signer -> per legit fragment, the Fragment a session stored for it, or None
-    # until a run stores it; filled by simulate's runs, and shared by later ones
-    arrived: dict
     # source -> its runs, filled by runs() on first use
     source_runs: dict
 
@@ -431,7 +428,7 @@ def legit_traffic(cfg: ScenarioConfig, seed: int) -> ArrivalPlan:
     return ArrivalPlan(seed, traffic_world(cfg), cfg.key, sends, None, None,
                        sent_datagrams, sent_fragments, *columns, sources[:],
                        array("B", bytes(len(times))), legit_corrupt, bytearray(), None,
-                       {}, {}, {})
+                       {}, {})
 
 
 def plan_arrivals(cfg: ScenarioConfig, seed: int,
@@ -473,7 +470,7 @@ def plan_arrivals(cfg: ScenarioConfig, seed: int,
                       traffic.origins, traffic.codes], hostile)
     return ArrivalPlan(seed, world(cfg), traffic.key, traffic.sends, attacker,
                        attack, traffic.sent_datagrams, sent_fragments, *columns,
-                       traffic.legit_corrupt, attack_corrupt, traffic, {}, {}, {})
+                       traffic.legit_corrupt, attack_corrupt, traffic, {}, {})
 
 
 def _merge(first: list[array], second: list[array]) -> list[array]:
@@ -531,6 +528,7 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     next_tick = TICK_INTERVAL
     filter_frame, filter_run = stack.filter_frame, stack.filter_run
     admit = _row_admitter(stack, plan, root)
+    legit, attack_tags = wire.fragments, plan.attack and plan.attack.tags
     dropped, delivered_status = AdmitStatus.DROPPED, AdmitStatus.DELIVERED  # read once
     times, sources, kinds, refs, origins = (
         plan.times, plan.sources, plan.kinds, plan.refs, plan.origins)
@@ -541,8 +539,8 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
     # a record leaves "stored" (0) at most once, so or-ing keeps its flags
     def _mark(sessions, code):
         for session in sessions:
-            for frag in session.fragments:
-                codes[frag.record] |= code
+            for _, _, record in session.fragments:
+                codes[record] |= code
 
     i, n = 0, len(codes)
     while i < n:
@@ -566,20 +564,21 @@ def simulate(cfg: ScenarioConfig, seed: int, trace: bool = False,
                 codes[a:b] = taken[a:b] = codes[a:b].translate(_PREFILTER)
             continue
 
-        result = admit(refs[i], i, now)
+        ref = refs[i]
+        result = admit(ref, i, now)
         root.cpu_ms += result.cpu_ms
 
         if result.status is dropped:
             codes[i] |= _REASON_CODE[result.reason]
         elif result.status is delivered_status:
-            for f in result.fragments:
-                codes[f.record] |= _DELIVERED
+            for _, _, record in result.fragments:
+                codes[record] |= _DELIVERED
             while unreached and unreached[-1].time <= now:
                 send = unreached.pop()
                 original_payload[(send.source, send.tag)] = send.payload
-            # the frame just admitted is the last one its session stored
-            last = result.fragments[-1]
-            src, tag = last.source, last.header.datagram_tag
+            # the frame just admitted completed its datagram: its row names the tag
+            src = sources[i]
+            tag = legit[ref].header.datagram_tag if ref >= 0 else attack_tags[~ref]
             want = original_payload.get((src, tag))
             delivered.append(DeliveredRecord(now, src, origins[i], tag, result.payload == want))
         if stack.evictions:
@@ -624,20 +623,17 @@ def _row_admitter(stack, plan: ArrivalPlan, root: EnergyLedger):
     through stack's gates.
 
     Charges the frame's airtime to root's RX, and returns what
-    stack.admit_fields makes of its header fields and payload.  A legit
-    row (row >= 0) reads them from its fragment as stack's senders sign
-    it, with the payload the channel left; the Fragment a session stores
-    for it is built once per plan and signer, in plan.arrived.  An
-    adversary row (~row, its emission) reads its row of the attack
-    schedule and blob slices (one with a victim carries the signed nonce
-    and signature of that legit fragment) and becomes a Fragment only if
-    a session stores it.  A slice past the bytes drawn so far draws up to
-    its end first.
+    stack.admit_fields makes of its header fields, payload and record.
+    A legit row (row >= 0) reads them from its fragment as stack's
+    senders sign it, with the payload the channel left, and its source
+    from the plan.  An adversary row (~row, its emission) reads its row
+    of the attack schedule and blob slices (one with a victim carries
+    the signed nonce and signature of that legit fragment).  A slice
+    past the bytes drawn so far draws up to its end first.
     """
     signer = stack.SIGNER
     with_ext = signer is not None
     legit = plan.wire(signer).fragments
-    stored = plan.arrived.get(signer) or plan.arrived.setdefault(signer, [None] * len(legit))
     legit_corrupt, attack_corrupt, row_sources, row_kinds = (
         plan.legit_corrupt, plan.attack_corrupt, plan.sources, plan.kinds)
     header_lens = [header_length(kind, with_ext) for kind in KIND_CODES]
@@ -650,26 +646,15 @@ def _row_admitter(stack, plan: ArrivalPlan, root: EnergyLedger):
         attack.payload_at, attack.payload_len, attack.nonce_at, attack.sig_at)
     admit_fields = stack.admit_fields
     made = len(blob)  # only fill grows the blob
-    # the row in hand: admit_fields calls build() only inside admit()
-    ref = header = source = kind = size = tag = offset = nonce = sig = payload = arrival = None
-
-    def build() -> Fragment:
-        if ref < 0:
-            return _materialize_emission(source, kind, size, tag, offset, nonce, sig, payload,
-                                         arrival)
-        frag = stored[ref]
-        if frag is None:
-            frag = stored[ref] = Fragment(header, payload, source, arrival)
-        return frag
 
     def admit(row: int, record: int, now: float) -> AdmitResult:
-        nonlocal made, ref, header, source, kind, size, tag, offset, nonce, sig, payload, arrival
+        nonlocal made
         if row >= 0:
             sent = legit[row]
-            kind, size, tag, offset, ext = header = sent.header
+            kind, size, tag, offset, ext = sent.header
             payload = sent.payload
-            if legit_corrupt[row]:  # as the channel left it, or as an earlier run stored it
-                payload = _corrupt_payload(payload) if stored[row] is None else stored[row].payload
+            if legit_corrupt[row]:
+                payload = _corrupt_payload(payload)
             _, nonce, sig = ext or _NO_EXT
             source, code = row_sources[record], row_kinds[record]
         else:
@@ -695,14 +680,14 @@ def _row_admitter(stack, plan: ArrivalPlan, root: EnergyLedger):
             code = kinds[k]
             source, kind, size, tag, offset = (
                 sources[k], KIND_CODES[code], sizes[k], tags[k], offsets[k])
-        ref, arrival = row, record
         # airtime() inlined: the RX charge of the frame's header and payload
         root.rx_s += (header_lens[code] + len(payload)) * 8 / BITRATE
-        return admit_fields(source, kind, size, tag, offset, nonce, sig, payload, now, build)
+        return admit_fields(source, kind, size, tag, offset, nonce, sig, payload, now, record)
 
     return admit
 
 
+# unused here; bench/layers.py wraps simulator._materialize_emission when tracing
 def _materialize_emission(source: int, kind: FragmentKind, size: int, tag: int, offset: int,
                           nonce: bytes | None, signature: bytes | None, payload: bytes,
                           record: int) -> Fragment:

@@ -9,7 +9,9 @@ filter.  A full tick runs at every whole second up to the duration, after
 any arrival at the same instant: the buffer never reports an idle tick.
 Evictions are drained after each admit, and the identification is read
 before the flush.  Energy is summed in send, emission and arrival order.
-Not collected by pytest.
+The records are FrameRecords built one per arrival from the reference's
+own dispositions and the plan's columns, and they are reduced by
+collect()'s multi-pass reference.  Not collected by pytest.
 """
 
 from collections import defaultdict
@@ -17,13 +19,13 @@ from collections import defaultdict
 import pytest
 
 from pcsm.baselines import MAC_CPU_MS, STACKS
-from pcsm.frag_codec import Fragment, header_length
+from pcsm.frag_codec import KIND_CODES, Fragment, header_length
 from pcsm.metrics import collect
 from pcsm.reassembly import FILTERED, HASH_CPU_MS, AdmitStatus, ReassemblySession, ReceiverStack
-from pcsm.simulator import (DISPOSITIONS, PREFILTERED, ROOT, TICK_INTERVAL, DeliveredRecord,
-                            EnergyLedger, FrameRecords, RunResult, _corrupt_payload, airtime,
-                            signed_fragments, simulate)
+from pcsm.simulator import (ROOT, TICK_INTERVAL, DeliveredRecord, EnergyLedger, FrameRecord,
+                            RunResult, _corrupt_payload, airtime, signed_fragments, simulate)
 from test_attacks import _ref_materialize, _rows
+from test_metrics import _reference_collect
 
 _SIGN_CPU_MS = {None: 0.0, "chain": HASH_CPU_MS, "mac": MAC_CPU_MS}
 
@@ -56,9 +58,9 @@ def reference_run(cfg, plan) -> RunResult:
     delivered = []
 
     def settle(sessions, disposition):
-        for frag in (f for session in sessions for f in session.fragments):
-            assert dispositions[frag.record] == "stored"
-            dispositions[frag.record] = disposition
+        for _, _, record in (row for session in sessions for row in session.fragments):
+            assert dispositions[record] == "stored"
+            dispositions[record] = disposition
 
     next_tick = TICK_INTERVAL
     for i, now in enumerate(plan.times):
@@ -91,31 +93,33 @@ def reference_run(cfg, plan) -> RunResult:
     identified_at = stack.identified_at(attacker) if attacker is not None else None
     settle(stack.flush(cfg.duration), "buffered")
 
-    codes = bytearray(DISPOSITIONS.index(d) | PREFILTERED * p | hostile_flag
-                      for d, p, hostile_flag in zip(dispositions, prefiltered, plan.codes))
+    records = [FrameRecord(time, source, origin, KIND_CODES[kind], disposition, filtered)
+               for time, source, origin, kind, disposition, filtered in zip(
+                   plan.times, plan.sources, plan.origins, plan.kinds, dispositions, prefiltered)]
     return RunResult(
         cfg.name, cfg.stack, plan.seed, cfg.duration, cfg.senders, attacker,
         cfg.attack and cfg.attack.kind, cfg.attack and cfg.attack.start,
-        dict(plan.sent_datagrams), dict(plan.sent_fragments),
-        FrameRecords(plan.times, plan.sources, plan.kinds, plan.origins, codes), delivered,
+        dict(plan.sent_datagrams), dict(plan.sent_fragments), records, delivered,
         identified_at, stack.buffer.mean_availability(), stack.buffer.max_occupancy,
         {node: ledger.power_mw(cfg.duration) for node, ledger in ledgers.items()},
         dict(stack.block_events), stack.trust_history)
 
 
-def outcome(run, cfg, plan) -> dict:
-    """What run(cfg, plan) leaves, by name: its result's values, the fields and time of every
-    frame the radio filter let through to the gates, every fragment a session stored as
-    (record, source, header, payload), and pcsm's trust state per source."""
+def outcome(run, cfg, plan, reduce) -> dict:
+    """What run(cfg, plan) leaves, by name: its result's values, reduce's metrics of it, the
+    fields, time and record of every frame the radio filter let through to the gates, every
+    frame a session stored as (record, source, tag, offset, payload), and pcsm's trust state
+    per source."""
     stacks, gated, stored = [], [], []
     init, gates, store = ReceiverStack.__init__, ReceiverStack.admit_fields, ReassemblySession.store
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ReceiverStack, "__init__",
                   lambda self, *args: init(self, *args) or stacks.append(self))
         m.setattr(ReceiverStack, "admit_fields",
-                  lambda self, *fields: gated.append(fields[:-1]) or gates(self, *fields))
-        m.setattr(ReassemblySession, "store", lambda self, frag: stored.append(
-            (frag.record, frag.source, frag.header, frag.payload)) or store(self, frag))
+                  lambda self, *fields: gated.append(fields) or gates(self, *fields))
+        m.setattr(ReassemblySession, "store", lambda self, offset, payload, record: (
+            stored.append((record, self.source, self.tag, offset, payload))
+            or store(self, offset, payload, record)))
         r = run(cfg, plan)
     [stack] = stacks
     engine = getattr(stack, "engine", None)
@@ -124,7 +128,7 @@ def outcome(run, cfg, plan) -> dict:
             "max_occupancy": r.max_occupancy, "node_power_mw": r.node_power_mw,
             "block_events": r.block_events, "trust_history": r.trust_history,
             "gated": gated, "stored": stored, "trust_states": engine and engine.states,
-            "collect": collect(r).to_json()}
+            "collect": reduce(r).to_json()}
 
 
 def assert_matches_reference(cfg, plan) -> dict:
@@ -133,8 +137,9 @@ def assert_matches_reference(cfg, plan) -> dict:
     simulate() goes first, so it draws the adversary's bytes as it reads them, and keeps
     the trust history as the reference does.
     """
-    got = outcome(lambda cfg, plan: simulate(cfg, plan.seed, trace=True, plan=plan), cfg, plan)
-    want = outcome(reference_run, cfg, plan)
+    got = outcome(lambda cfg, plan: simulate(cfg, plan.seed, trace=True, plan=plan), cfg, plan,
+                  collect)
+    want = outcome(reference_run, cfg, plan, _reference_collect)
     for name in got:
         assert got[name] == want[name], name
     return got

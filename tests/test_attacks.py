@@ -520,22 +520,31 @@ def _ref_materialize(em, with_ext, legit):
     return Fragment(header, em.payload, source=em.claimed_source)
 
 
-class _BuildingStack:
-    """Gates that let every frame through and return the Fragment it would be stored as."""
+def _gate_fields(frag):
+    """The fields admit() hands to admit_fields for frag, record included, less the time."""
+    header = frag.header
+    _, nonce, signature = header.ext or (None, None, None)
+    return (frag.source, header.kind, header.datagram_size, header.datagram_tag,
+            header.datagram_offset, nonce, signature, frag.payload, frag.record)
+
+
+class _FieldStack:
+    """Gates that let every frame through and return the fields they were handed."""
 
     def __init__(self, signer):
         self.SIGNER = signer
 
     @staticmethod
-    def admit_fields(src, kind, size, tag, offset, nonce, signature, payload, now, build):
-        return build()
+    def admit_fields(src, kind, size, tag, offset, nonce, signature, payload, now, record):
+        return src, kind, size, tag, offset, nonce, signature, payload, record
 
 
 @pytest.mark.parametrize("seed", range(1, 4))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
-    """Header (ext nonce and signature included), payload as the channel left it, source
-    and record for every emission and every legit arrival the admitter hands to the gates."""
+    """Header fields (ext nonce and signature included), payload as the channel left it,
+    source and record of every emission and every legit arrival the admitter hands to the
+    gates, against the Fragment the record-based builder makes of it."""
     cfg = load_config(REPO / f"configs/pcsm-{kind}.yaml")
     cfg = dataclasses.replace(cfg, channel=dataclasses.replace(cfg.channel, corruption_rate=0.2))
     ems = _rows(plan_arrivals(cfg, seed).attack)
@@ -544,19 +553,18 @@ def test_frames_built_from_the_columns_equal_the_record_reference(kind, seed):
         # a fresh plan per signer, so that its admitter draws every byte it reads
         plan = plan_arrivals(cfg, seed)
         legit, with_ext = plan.wire(signer).fragments, signer is not None
-        admit = _row_admitter(_BuildingStack(signer), plan, EnergyLedger())
+        admit = _row_admitter(_FieldStack(signer), plan, EnergyLedger())
         for i, em in enumerate(ems):
-            got = admit(~i, 1000 + i, 0.0)
             want = _ref_materialize(em, with_ext, legit)
             if plan.attack_corrupt[i]:
                 want.payload = _corrupt_payload(want.payload)
-            assert (got.header, got.payload, got.source, got.record) == (
-                want.header, want.payload, want.source, 1000 + i)
+            want.record = 1000 + i
+            assert admit(~i, 1000 + i, 0.0) == _gate_fields(want)
         # the legit arrivals, clean and corrupted, as the root gets them
         rows = [(i, ref) for i, ref in enumerate(plan.refs) if ref >= 0]
         assert {plan.legit_corrupt[ref] for _, ref in rows} == {0, 1}
         for i, ref in rows:
             sent = legit[ref]
             payload = _corrupt_payload(sent.payload) if plan.legit_corrupt[ref] else sent.payload
-            got = admit(ref, i, 0.0)
-            assert got == Fragment(sent.header, payload, plan.sources[i], i)
+            assert admit(ref, i, 0.0) == _gate_fields(Fragment(sent.header, payload,
+                                                               plan.sources[i], i))

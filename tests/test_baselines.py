@@ -74,6 +74,23 @@ def test_vanilla_wellformed_garbage_delivers():
     assert out[-1].cpu_ms == 0.0
 
 
+def test_vanilla_assembles_out_of_order_fragns_by_offset():
+    """A session places each fragment at its offset (RFC 4944 section 5.3), whatever the
+    order the continuations arrive in, and hands back its rows in arrival order."""
+    payload = random.Random(3).randbytes(400)  # a first fragment and four continuations
+    frags = _plain_train(payload, 12, source=4)
+    order = [0, 3, 1, 4, 2]
+    stack = VanillaStack()
+    out = []
+    for n, j in enumerate(order):
+        frags[j].record = 100 + n
+        out.append(stack.admit(frags[j], 0.1 * n))
+    assert [r.status for r in out] == [AdmitStatus.STORED] * 4 + [AdmitStatus.DELIVERED]
+    assert out[-1].payload == payload
+    assert list(out[-1].fragments) == [
+        (frags[j].header.datagram_offset, frags[j].payload, 100 + n) for n, j in enumerate(order)]
+
+
 def test_vanilla_duplicate_open_frag1_is_structural_drop():
     stack = VanillaStack()
     frags = _plain_train(bytes(200), 5, source=3)
